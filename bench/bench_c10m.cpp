@@ -275,7 +275,7 @@ int main(int argc, char** argv) {
 
     EpollLoop loop;  // client side always pumps on epoll
     std::thread loopThread([&loop] { loop.Run(); });
-    std::atomic<long> connected{0};
+    std::atomic<long> subscribed{0};  // at SUBACK, not at connect
     std::vector<std::unique_ptr<client::Client>> subs;
     Rng rng(7);
     for (long c = 0; c < smokeClients; ++c) {
@@ -287,19 +287,16 @@ int main(int argc, char** argv) {
       auto sub = std::make_unique<client::Client>(loop, cfg);
       auto* subPtr = sub.get();
       const std::string topic = TopicName(c % kSmokeTopics);
-      loop.Post([&connected, &smokeReceived, subPtr, topic] {
-        subPtr->SetConnectionListener([&connected](bool up) {
-          if (up) connected.fetch_add(1);
-        });
-        subPtr->Subscribe(topic, [&smokeReceived](const Message&) {
-          smokeReceived.fetch_add(1);
-        });
+      loop.Post([&subscribed, &smokeReceived, subPtr, topic] {
+        subPtr->Subscribe(
+            topic, [&smokeReceived](const Message&) { smokeReceived.fetch_add(1); },
+            [&subscribed] { subscribed.fetch_add(1); });
         subPtr->Start();
       });
       subs.push_back(std::move(sub));
     }
     const auto connectStart = std::chrono::steady_clock::now();
-    while (connected.load() < smokeClients &&
+    while (subscribed.load() < smokeClients &&
            std::chrono::steady_clock::now() - connectStart < 60s) {
       std::this_thread::sleep_for(5ms);
     }
@@ -312,7 +309,7 @@ int main(int argc, char** argv) {
     loop.Post([&pub] { pub.Start(); });
     while (!pub.IsConnected()) std::this_thread::sleep_for(1ms);
 
-    smokeExpected = static_cast<std::uint64_t>(connected.load()) *
+    smokeExpected = static_cast<std::uint64_t>(subscribed.load()) *
                     static_cast<std::uint64_t>(kSmokeBursts);
     const auto publishStart = std::chrono::steady_clock::now();
     for (long b = 0; b < kSmokeBursts; ++b) {

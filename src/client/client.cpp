@@ -480,11 +480,6 @@ void Client::HandleDeliver(const Message& msg) {
              static_cast<unsigned long long>(ts.lastPos->seq),
              static_cast<unsigned long long>(msg.seq));
   }
-  if (ts.lastPos && PosOf(msg) > *ts.lastPos && stats_.reconnects > 0 &&
-      state_ == State::kEstablished) {
-    // Heuristic: deliveries that advance past a pre-reconnect position right
-    // after resume are recovered messages. Only counted, not acted upon.
-  }
   ts.lastPos = PosOf(msg);
   ++stats_.messagesReceived;
   if (deliveryObserver_) deliveryObserver_(msg, /*duplicate=*/false);

@@ -84,7 +84,6 @@ struct ClientStats {
   std::uint64_t duplicatesFiltered = 0;
   std::uint64_t reconnects = 0;
   std::uint64_t republishes = 0;
-  std::uint64_t recoveredMessages = 0;  // deliveries that filled a gap on resume
   std::uint64_t handoffs = 0;           // HANDOFF redirects followed
   std::uint64_t quorumRejects = 0;      // retryable no-quorum publish acks
 };

@@ -52,8 +52,11 @@ class TcpClusterHost::NodeEnv final : public ClusterEnv {
   }
 
   void CloseClient(ClientHandle client) override {
+    // Sends are deferred to the loop's flush pass, so a notice sent just
+    // before this (fence DISCONNECT, hand-off HANDOFF) and any deliveries
+    // queued this round are still in the send queue: flush, then close.
     auto node = host_.clients_.extract(client);
-    if (!node.empty()) node.mapped()->conn->Close();
+    if (!node.empty()) node.mapped()->conn->CloseAfterFlush();
   }
 
   std::uint64_t Schedule(Duration delay, std::function<void()> fn) override {
@@ -102,43 +105,33 @@ class TcpClusterHost::CoordEnv final : public coord::Env {
 // Lifecycle
 // ---------------------------------------------------------------------------
 
+namespace {
+
+obs::MetricsRegistry& RegistryOf(const TcpHostConfig& cfg) {
+  return cfg.cluster.metrics != nullptr ? *cfg.cluster.metrics
+                                        : obs::MetricsRegistry::Default();
+}
+
+}  // namespace
+
 TcpClusterHost::TcpClusterHost(TcpHostConfig cfg)
     : cfg_(std::move(cfg)),
-      scm_(cfg_.cluster.metrics != nullptr ? *cfg_.cluster.metrics
-                                           : obs::MetricsRegistry::Default(),
-           obs::ServerLabel(cfg_.serverId)) {
+      scm_(RegistryOf(cfg_), obs::ServerLabel(cfg_.serverId)),
+      tm_(RegistryOf(cfg_), obs::ServerLabel(cfg_.serverId)) {
   if (cfg_.runtimeVerify) {
     if (cfg_.verifyConfig.scope.empty()) cfg_.verifyConfig.scope = cfg_.serverId;
-    monitor_ = std::make_unique<verify::Monitor>(
-        cfg_.cluster.metrics != nullptr ? *cfg_.cluster.metrics
-                                        : obs::MetricsRegistry::Default(),
-        cfg_.verifyConfig);
+    monitor_ = std::make_unique<verify::Monitor>(RegistryOf(cfg_), cfg_.verifyConfig);
   }
   loop_ = CreateNetLoop(cfg_.eventLoop);
+  loop_->SetMetrics(&tm_);
   nodeEnv_ = std::make_unique<NodeEnv>(*this, cfg_.seed);
   coordEnv_ = std::make_unique<CoordEnv>(*this, cfg_.seed + 1);
-
-  std::vector<coord::NodeId> members{cfg_.nodeId};
-  std::vector<std::string> peerIds;
-  for (const auto& peer : cfg_.peers) {
-    members.push_back(peer.nodeId);
-    peerIds.push_back(peer.serverId);
-  }
-  std::sort(members.begin(), members.end());
-
-  coordNode_ = std::make_unique<coord::CoordNode>(cfg_.nodeId, members,
-                                                  *coordEnv_, cfg_.coord);
-  ClusterConfig clusterCfg = cfg_.cluster;
-  clusterCfg.serverId = cfg_.serverId;
-  node_ = std::make_unique<ClusterNode>(clusterCfg, *nodeEnv_, *coordNode_,
-                                        peerIds);
 }
 
 TcpClusterHost::~TcpClusterHost() { Stop(); }
 
-Status TcpClusterHost::Start() {
-  if (running_.exchange(true)) return Err(ErrorCode::kAlreadyExists, "running");
-
+Status TcpClusterHost::Bind() {
+  if (bound_) return OkStatus();
   auto bind = [&](std::uint16_t port, ListenerPtr& out,
                   std::uint16_t& actual) -> Status {
     auto listener = loop_->Listen(port);
@@ -150,6 +143,36 @@ Status TcpClusterHost::Start() {
   if (Status s = bind(cfg_.clientPort, clientListener_, clientPort_); !s.ok()) return s;
   if (Status s = bind(cfg_.peerPort, peerListener_, peerPort_); !s.ok()) return s;
   if (Status s = bind(cfg_.coordPort, coordListener_, coordPort_); !s.ok()) return s;
+  bound_ = true;
+  return OkStatus();
+}
+
+void TcpClusterHost::SetPeers(std::vector<TcpPeerAddress> peers) {
+  cfg_.peers = std::move(peers);
+}
+
+Status TcpClusterHost::Start() {
+  if (running_.exchange(true)) return Err(ErrorCode::kAlreadyExists, "running");
+  if (Status s = Bind(); !s.ok()) {
+    running_.store(false);
+    return s;
+  }
+
+  // The nodes are built here rather than in the constructor: membership
+  // comes from cfg_.peers, which SetPeers may fill in after Bind().
+  std::vector<coord::NodeId> members{cfg_.nodeId};
+  std::vector<std::string> peerIds;
+  for (const auto& peer : cfg_.peers) {
+    members.push_back(peer.nodeId);
+    peerIds.push_back(peer.serverId);
+  }
+  std::sort(members.begin(), members.end());
+  coordNode_ = std::make_unique<coord::CoordNode>(cfg_.nodeId, members,
+                                                  *coordEnv_, cfg_.coord);
+  ClusterConfig clusterCfg = cfg_.cluster;
+  clusterCfg.serverId = cfg_.serverId;
+  node_ = std::make_unique<ClusterNode>(clusterCfg, *nodeEnv_, *coordNode_,
+                                        peerIds);
 
   clientListener_->SetAcceptHandler(
       [this](ConnectionPtr conn) { OnClientAccept(std::move(conn)); });
@@ -190,6 +213,7 @@ void TcpClusterHost::Stop() {
   });
   loop_->Stop();
   if (thread_.joinable()) thread_.join();
+  bound_ = false;  // the stop task released the listeners
 }
 
 void TcpClusterHost::WithNode(const std::function<void(ClusterNode&)>& fn) {
@@ -306,12 +330,18 @@ void TcpClusterHost::OnPeerAccept(ConnectionPtr conn) {
 void TcpClusterHost::AdoptPeerConnection(const std::string& serverId,
                                          ConnectionPtr conn) {
   PeerLink& link = peerLinks_[serverId];
-  if (link.conn && link.conn != conn) link.conn->Close();
+  // The replaced link may still hold frames queued this round; let them
+  // reach the peer before closing it.
+  if (link.conn && link.conn != conn) link.conn->CloseAfterFlush();
   link.conn = conn;
   link.connecting = false;
-  conn->SetCloseHandler([this, serverId] {
+  // Only this connection's own close may clear the link: a replaced link
+  // closes after its successor was adopted.
+  conn->SetCloseHandler([this, serverId, self = conn.get()] {
     auto it = peerLinks_.find(serverId);
-    if (it != peerLinks_.end()) it->second.conn.reset();
+    if (it != peerLinks_.end() && it->second.conn.get() == self) {
+      it->second.conn.reset();
+    }
   });
   // Flush anything queued while the link was down.
   for (const Bytes& wire : link.backlog) (void)conn->Send(BytesView(wire));

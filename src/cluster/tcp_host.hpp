@@ -9,10 +9,12 @@
 //     by a varint node-id preamble.
 //
 // Everything — node logic, timers, connection management — runs on a single
-// EpollLoop thread (the nodes are single-strand state machines); Start()
-// spawns that thread and Stop() joins it. Outgoing peer/coord connections
-// are (re)established on demand with a retry timer; when a peer link comes
-// back, the host triggers the paper's incremental cache sync (§5.2.2).
+// NetLoop thread (the nodes are single-strand state machines); Start()
+// spawns that thread and Stop() joins it. Bind() may run first, so members
+// on kernel-chosen ports can learn each other's addresses before starting.
+// Outgoing peer/coord connections are (re)established on demand with a
+// retry timer; when a peer link comes back, the host triggers the paper's
+// incremental cache sync (§5.2.2).
 #pragma once
 
 #include <atomic>
@@ -72,7 +74,14 @@ class TcpClusterHost {
   TcpClusterHost(const TcpClusterHost&) = delete;
   TcpClusterHost& operator=(const TcpClusterHost&) = delete;
 
-  /// Binds the three listeners and starts the loop thread + both nodes.
+  /// Binds the three listeners (port 0 = kernel-chosen) without starting
+  /// anything, so a cluster can bind every member first and then wire each
+  /// member's peers from the others' bound ports (SetPeers). Optional:
+  /// Start() binds if this has not run.
+  Status Bind();
+  /// Replaces cfg.peers. Call before Start().
+  void SetPeers(std::vector<TcpPeerAddress> peers);
+  /// Binds (if needed) and starts the loop thread + both nodes.
   Status Start();
   void Stop();
 
@@ -140,6 +149,7 @@ class TcpClusterHost {
 
   TcpHostConfig cfg_;
   obs::SlowConsumerMetrics scm_;
+  obs::TransportMetrics tm_;  // this host's loop; outlives loop_
   std::unique_ptr<verify::Monitor> monitor_;
   std::unique_ptr<NetLoop> loop_;
   std::thread thread_;
@@ -153,6 +163,7 @@ class TcpClusterHost {
   ListenerPtr clientListener_;
   ListenerPtr peerListener_;
   ListenerPtr coordListener_;
+  bool bound_ = false;
   std::uint16_t clientPort_ = 0;
   std::uint16_t peerPort_ = 0;
   std::uint16_t coordPort_ = 0;

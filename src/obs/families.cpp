@@ -174,6 +174,13 @@ constexpr std::string_view kCoordWrite = "md_coord_write_ns";
 constexpr std::string_view kCoordWriteHelp =
     "Client-visible coordination write latency";
 
+// Syscall-counter child key: the bundle's labels, then the op label.
+std::string WithOp(std::string_view labels, std::string_view op) {
+  std::string out(labels);
+  if (!out.empty()) out += ',';
+  return out + "op=\"" + std::string(op) + "\"";
+}
+
 }  // namespace
 
 CoreMetrics::CoreMetrics(MetricsRegistry& r, std::string_view labels)
@@ -199,13 +206,15 @@ TransportMetrics::TransportMetrics(MetricsRegistry& r, std::string_view labels)
       timersFired(r.GetCounter(kTransTimers, kTransTimersHelp, labels)),
       tasksPosted(
           r.GetCounter(kTransTasksPosted, kTransTasksPostedHelp, labels)),
-      // The op label distinguishes the three data-path syscalls; the bundle
-      // is process-wide (unlabeled otherwise), so the fixed label text is
-      // the child key.
-      syscallsSend(r.GetCounter(kTransSyscalls, kTransSyscallsHelp, "op=\"send\"")),
-      syscallsSendmsg(
-          r.GetCounter(kTransSyscalls, kTransSyscallsHelp, "op=\"sendmsg\"")),
-      syscallsRecv(r.GetCounter(kTransSyscalls, kTransSyscallsHelp, "op=\"recv\"")),
+      // The op label distinguishes the three data-path syscalls, after the
+      // bundle's own labels (none for core::Server's process-wide bundle,
+      // server="<id>" for a cluster host's loop).
+      syscallsSend(r.GetCounter(kTransSyscalls, kTransSyscallsHelp,
+                                WithOp(labels, "send"))),
+      syscallsSendmsg(r.GetCounter(kTransSyscalls, kTransSyscallsHelp,
+                                   WithOp(labels, "sendmsg"))),
+      syscallsRecv(r.GetCounter(kTransSyscalls, kTransSyscallsHelp,
+                                WithOp(labels, "recv"))),
       copyBytes(r.GetCounter(kTransCopyBytes, kTransCopyBytesHelp, labels)) {}
 
 SlowConsumerMetrics::SlowConsumerMetrics(MetricsRegistry& r,

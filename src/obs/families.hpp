@@ -33,8 +33,9 @@ struct CoreMetrics {
   Gauge& bytesPerSession;
 };
 
-/// Transport loop counters (process-wide; all loops — epoll or io_uring —
-/// share one bundle).
+/// Transport loop counters. A core::Server's loops — epoll or io_uring — share
+/// one unlabeled process-wide bundle; each cluster host's loop has its own,
+/// labeled server="<id>".
 struct TransportMetrics {
   explicit TransportMetrics(MetricsRegistry& registry,
                             std::string_view labels = "");
@@ -48,9 +49,11 @@ struct TransportMetrics {
   Counter& timersFired;
   Counter& tasksPosted;
   // Egress/ingress syscall accounting (md_transport_syscalls_total{op=...}):
-  // direct single-buffer sends, scatter-gather flushes, and reads. Divided by
-  // deliveries these give the syscalls-per-delivery stat the fan-out bench
-  // reports.
+  // scatter-gather flushes and reads. Divided by deliveries these give the
+  // syscalls-per-delivery stat the fan-out bench reports. Every send, copied
+  // or zero-copy, leaves through the flush pass's sendmsg, so op="send"
+  // reads 0; it stays registered for the exposition goldens and the bench
+  // readers that divide by it.
   Counter& syscallsSend;
   Counter& syscallsSendmsg;
   Counter& syscallsRecv;

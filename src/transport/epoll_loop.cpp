@@ -60,70 +60,20 @@ TcpConnection::~TcpConnection() {
 
 Status TcpConnection::Send(BytesView data) {
   if (fd_ < 0) return Err(ErrorCode::kClosed, "connection closed");
-
-  // Hard watermark: reject the whole frame up front. Checking before the
-  // direct write keeps frames atomic — a partially-written frame whose tail
-  // was refused would corrupt the stream. (out_.size() <= wm_.hard holds by
-  // induction, so the subtraction cannot underflow.)
-  if (data.size() > wm_.hard - out_.size()) {
-    // Same flush-before-reject as the zero-copy flavor: a deferred queue is
-    // not kernel backpressure until a drain attempt fails.
-    if (!wantWrite_) {
-      Flush();
-      if (fd_ < 0) return Err(ErrorCode::kClosed, "write failed");
-    }
-    if (data.size() > wm_.hard - out_.size()) {
-      return Err(ErrorCode::kCapacity, "send rejected: over hard watermark");
-    }
-  }
-
-  // Fast path: nothing buffered — try a direct write first.
-  std::size_t written = 0;
-  if (out_.empty()) {
-    // MSG_NOSIGNAL: writing into a connection the peer already closed must
-    // surface as an error, not kill the process with SIGPIPE.
-    const ssize_t n = ::send(fd_, data.data(), data.size(), MSG_NOSIGNAL);
-    if (auto* m = loop_.metrics()) m->syscallsSend.Inc();
-    if (n > 0) {
-      written = static_cast<std::size_t>(n);
-      if (auto* m = loop_.metrics()) m->bytesWritten.Inc(written);
-    } else if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) {
-      CloseNow();
-      return Err(ErrorCode::kClosed, "write failed");
-    }
-    if (written < data.size()) {
-      // The kernel pushed back mid-frame: queue the remainder and let
-      // EPOLLOUT drive the drain, exactly like the historical path.
-      if (!wantWrite_) {
-        wantWrite_ = true;
-        UpdateEpollInterest();
-      }
-    }
-  }
-  if (written == data.size()) return OkStatus();
-
-  out_.AppendCopy(data.subspan(written));
-  if (auto* m = loop_.metrics()) {
-    m->copyBytes.Inc(data.size() - written);
-  }
-  return FinishAppend(data.size() - written);
+  if (data.empty()) return OkStatus();
+  if (Status s = AdmitFrame(data.size()); !s.ok()) return s;
+  // Copied sends take the same deferred path as zero-copy ones: the bytes
+  // join the queue's coalescing tail and leave in the loop's flush pass, so
+  // acks, peer frames and fan-out queued in one round share one sendmsg.
+  out_.AppendCopy(data);
+  if (auto* m = loop_.metrics()) m->copyBytes.Inc(data.size());
+  return FinishAppend(data.size());
 }
 
 Status TcpConnection::Send(std::shared_ptr<const Bytes> data) {
   if (fd_ < 0) return Err(ErrorCode::kClosed, "connection closed");
   if (data == nullptr || data->empty()) return OkStatus();
-  if (data->size() > wm_.hard - out_.size()) {
-    // The queue may be large only because the deferred flush hasn't run yet
-    // this batch — watermarks must measure kernel backpressure, not flush
-    // latency. Drain first; reject only if the kernel really won't take it.
-    if (!wantWrite_) {
-      Flush();
-      if (fd_ < 0) return Err(ErrorCode::kClosed, "write failed");
-    }
-    if (data->size() > wm_.hard - out_.size()) {
-      return Err(ErrorCode::kCapacity, "send rejected: over hard watermark");
-    }
-  }
+  if (Status s = AdmitFrame(data->size()); !s.ok()) return s;
   // Zero-copy: queue a reference and defer the syscall to the loop's flush
   // pass (adaptive flush). When the loop is idle the pass runs immediately
   // after the current task batch; under load every frame queued in the same
@@ -131,6 +81,24 @@ Status TcpConnection::Send(std::shared_ptr<const Bytes> data) {
   const std::size_t appended = data->size();
   out_.AppendShared(std::move(data));
   return FinishAppend(appended);
+}
+
+Status TcpConnection::AdmitFrame(std::size_t size) {
+  // Hard watermark: reject the whole frame up front, so frames stay atomic.
+  // (out_.size() <= wm_.hard holds by induction, so the subtraction cannot
+  // underflow.)
+  if (size <= wm_.hard - out_.size()) return OkStatus();
+  // The queue may be large only because the deferred flush hasn't run yet
+  // this batch — watermarks must measure kernel backpressure, not flush
+  // latency. Drain first; reject only if the kernel really won't take it.
+  if (!wantWrite_) {
+    Flush();
+    if (fd_ < 0) return Err(ErrorCode::kClosed, "write failed");
+  }
+  if (size > wm_.hard - out_.size()) {
+    return Err(ErrorCode::kCapacity, "send rejected: over hard watermark");
+  }
+  return OkStatus();
 }
 
 Status TcpConnection::FinishAppend(std::size_t appended) {

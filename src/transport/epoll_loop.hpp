@@ -75,6 +75,10 @@ class TcpConnection final : public Connection,
   void UpdateEpollInterest();
   /// Queues this connection for the loop's next flush pass (idempotent).
   void RequestFlush();
+  /// Hard-watermark gate run before any bytes are queued: whole-frame
+  /// reject, after a drain attempt so deferred bytes never count as
+  /// kernel backpressure.
+  Status AdmitFrame(std::size_t size);
   /// Common post-append bookkeeping: gauge, flush scheduling, soft check.
   Status FinishAppend(std::size_t appended);
 

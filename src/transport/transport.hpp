@@ -76,7 +76,9 @@ class Connection {
   }
 
   /// Initiates close. The close handler fires (once) when fully closed.
-  /// Bytes still buffered are discarded.
+  /// Bytes still buffered are discarded — on the real-socket loops that
+  /// includes every frame sent earlier in the same loop round, since sends
+  /// are flushed at the round's end. Use CloseAfterFlush() after a notice.
   virtual void Close() = 0;
 
   /// Graceful variant: lets already-buffered bytes flush to the peer first

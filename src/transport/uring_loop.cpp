@@ -66,7 +66,8 @@ namespace detail {
 UringConnection::UringConnection(UringLoop& loop, int fd, std::string peer,
                                  std::uint64_t id)
     : loop_(loop), fd_(fd), peer_(std::move(peer)), id_(id) {
-  // Non-blocking for the direct ::send fast path; ring ops are async anyway.
+  // Non-blocking for DrainNow's synchronous sendmsg; ring ops are async
+  // anyway.
   SetNonBlocking(fd_);
   SetTcpOptions(fd_);
 }
@@ -82,53 +83,36 @@ UringConnection::~UringConnection() {
 
 Status UringConnection::Send(BytesView data) {
   if (fd_ < 0 || closing_) return Err(ErrorCode::kClosed, "connection closed");
-
-  // Hard watermark: whole-frame reject before anything is queued (identical
-  // contract to the epoll backend — see TcpConnection::Send). As there, a
-  // queue inflated only by deferred flushing gets a drain attempt before the
-  // frame is refused.
-  if (data.size() > wm_.hard - out_.size()) {
-    DrainNow();
-    if (fd_ < 0 || closing_) return Err(ErrorCode::kClosed, "write failed");
-    if (data.size() > wm_.hard - out_.size()) {
-      return Err(ErrorCode::kCapacity, "send rejected: over hard watermark");
-    }
-  }
-
-  // Fast path: nothing buffered and no async write in flight — a direct
-  // non-blocking send skips the ring round-trip entirely.
-  std::size_t written = 0;
-  if (out_.empty() && !sendInFlight_) {
-    const ssize_t n = ::send(fd_, data.data(), data.size(), MSG_NOSIGNAL);
-    if (auto* m = loop_.metrics()) m->syscallsSend.Inc();
-    if (n > 0) {
-      written = static_cast<std::size_t>(n);
-      if (auto* m = loop_.metrics()) m->bytesWritten.Inc(written);
-    } else if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) {
-      CloseNow();
-      return Err(ErrorCode::kClosed, "write failed");
-    }
-  }
-  if (written == data.size()) return OkStatus();
-
-  out_.AppendCopy(data.subspan(written));
-  if (auto* m = loop_.metrics()) m->copyBytes.Inc(data.size() - written);
-  return FinishAppend(data.size() - written);
+  if (data.empty()) return OkStatus();
+  if (Status s = AdmitFrame(data.size()); !s.ok()) return s;
+  // Copied sends are deferred like zero-copy ones (see TcpConnection::Send):
+  // they coalesce into the queue's tail and ride the round's one SENDMSG.
+  out_.AppendCopy(data);
+  if (auto* m = loop_.metrics()) m->copyBytes.Inc(data.size());
+  return FinishAppend(data.size());
 }
 
 Status UringConnection::Send(std::shared_ptr<const Bytes> data) {
   if (fd_ < 0 || closing_) return Err(ErrorCode::kClosed, "connection closed");
   if (data == nullptr || data->empty()) return OkStatus();
-  if (data->size() > wm_.hard - out_.size()) {
-    DrainNow();
-    if (fd_ < 0 || closing_) return Err(ErrorCode::kClosed, "write failed");
-    if (data->size() > wm_.hard - out_.size()) {
-      return Err(ErrorCode::kCapacity, "send rejected: over hard watermark");
-    }
-  }
+  if (Status s = AdmitFrame(data->size()); !s.ok()) return s;
   const std::size_t appended = data->size();
   out_.AppendShared(std::move(data));
   return FinishAppend(appended);
+}
+
+Status UringConnection::AdmitFrame(std::size_t size) {
+  // Hard watermark: whole-frame reject before anything is queued (identical
+  // contract to the epoll backend — see TcpConnection::AdmitFrame). As
+  // there, a queue inflated only by deferred flushing gets a drain attempt
+  // before the frame is refused.
+  if (size <= wm_.hard - out_.size()) return OkStatus();
+  DrainNow();
+  if (fd_ < 0 || closing_) return Err(ErrorCode::kClosed, "write failed");
+  if (size > wm_.hard - out_.size()) {
+    return Err(ErrorCode::kCapacity, "send rejected: over hard watermark");
+  }
+  return OkStatus();
 }
 
 Status UringConnection::FinishAppend(std::size_t appended) {

@@ -72,6 +72,10 @@ class UringConnection final
  private:
   friend class ::md::UringLoop;
 
+  /// Hard-watermark gate run before any bytes are queued: whole-frame
+  /// reject, after a drain attempt so deferred bytes never count as
+  /// kernel backpressure.
+  Status AdmitFrame(std::size_t size);
   Status FinishAppend(std::size_t appended);
   void RequestFlush();
   /// Submits one async SENDMSG covering the queue front (if none in flight).

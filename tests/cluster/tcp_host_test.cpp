@@ -3,7 +3,11 @@
 // loopback, driven by the real client library.
 #include "cluster/tcp_host.hpp"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -26,39 +30,81 @@ void WaitFor(const std::function<bool()>& pred,
   }
 }
 
+/// A blocking raw-socket client speaking the framed protocol by hand, so a
+/// test sees exactly the bytes a host wrote before its EOF.
+class RawClient {
+ public:
+  ~RawClient() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+
+  /// Connects and sends CONNECT; true once the host answers with CONNACK.
+  bool Connect(std::uint16_t port, const std::string& clientId) {
+    if (fd_ >= 0) ::close(fd_);
+    in_ = ByteQueue();
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    timeval tv{5, 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+      return false;
+    }
+    Bytes wire;
+    EncodeFramed(Frame(ConnectFrame{clientId}), wire);
+    if (::send(fd_, wire.data(), wire.size(), MSG_NOSIGNAL) !=
+        static_cast<ssize_t>(wire.size())) {
+      return false;
+    }
+    const auto frame = Next();
+    return frame && std::holds_alternative<ConnAckFrame>(*frame);
+  }
+
+  /// The next frame, or nullopt on EOF, error or a 5 s silence.
+  std::optional<Frame> Next() {
+    while (true) {
+      auto r = ExtractFrame(in_);
+      if (!r.status.ok()) return std::nullopt;
+      if (r.frame) return std::move(r.frame);
+      std::uint8_t buf[4096];
+      const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+      if (n <= 0) return std::nullopt;
+      in_.Append(BytesView(buf, static_cast<std::size_t>(n)));
+    }
+  }
+
+ private:
+  int fd_ = -1;
+  ByteQueue in_;
+};
+
 class TcpClusterTest : public ::testing::Test {
  protected:
   void StartCluster(std::size_t n = 3) {
-    // Two passes: bind everyone on ephemeral ports first, then wire the
-    // peer addresses and start.
-    struct Prebind {
-      std::uint16_t client, peer, coord;
-    };
-    // Reserve fixed ports derived from a base to avoid a two-phase dance:
-    // pick a random-ish base per test run.
-    static std::atomic<std::uint16_t> base{21000};
-    const std::uint16_t portBase = base.fetch_add(100);
-
+    // Two phases: every host binds kernel-chosen ports first, then each is
+    // given the others' bound addresses and started. No fixed port base, so
+    // concurrent test processes can never share a listener.
     std::vector<TcpHostConfig> cfgs(n);
     for (std::size_t i = 0; i < n; ++i) {
       cfgs[i].serverId = "tcp-server-" + std::to_string(i + 1);
       cfgs[i].nodeId = static_cast<coord::NodeId>(i + 1);
-      cfgs[i].clientPort = static_cast<std::uint16_t>(portBase + i * 3);
-      cfgs[i].peerPort = static_cast<std::uint16_t>(portBase + i * 3 + 1);
-      cfgs[i].coordPort = static_cast<std::uint16_t>(portBase + i * 3 + 2);
       cfgs[i].seed = 1000 + i;
+      cfgs[i].cluster.metrics = &registry;
+      hosts.push_back(std::make_unique<TcpClusterHost>(cfgs[i]));
+      ASSERT_TRUE(hosts[i]->Bind().ok());
     }
     for (std::size_t i = 0; i < n; ++i) {
+      std::vector<TcpPeerAddress> peers;
       for (std::size_t j = 0; j < n; ++j) {
         if (i == j) continue;
-        cfgs[i].peers.push_back({cfgs[j].serverId, cfgs[j].nodeId, "127.0.0.1",
-                                 cfgs[j].peerPort, cfgs[j].coordPort});
+        peers.push_back({cfgs[j].serverId, cfgs[j].nodeId, "127.0.0.1",
+                         hosts[j]->PeerPort(), hosts[j]->CoordPort()});
       }
+      hosts[i]->SetPeers(std::move(peers));
     }
-    for (std::size_t i = 0; i < n; ++i) {
-      hosts.push_back(std::make_unique<TcpClusterHost>(cfgs[i]));
-      ASSERT_TRUE(hosts[i]->Start().ok());
-    }
+    for (auto& host : hosts) ASSERT_TRUE(host->Start().ok());
     // Wait for MiniZK to elect a leader (real time).
     WaitFor([&] {
       int leaders = 0;
@@ -88,6 +134,7 @@ class TcpClusterTest : public ::testing::Test {
     return cfg;
   }
 
+  obs::MetricsRegistry registry;  // outlives the hosts that export into it
   std::vector<std::unique_ptr<TcpClusterHost>> hosts;
 };
 
@@ -212,6 +259,55 @@ TEST_F(TcpClusterTest, FailoverOverRealTcp) {
   std::this_thread::sleep_for(20ms);
   clientLoop.Stop();
   clientThread.join();
+}
+
+TEST_F(TcpClusterTest, FencedHostFlushesDisconnectNoticeBeforeClosing) {
+  StartCluster();
+
+  // A member refuses sessions until it has joined; retry until CONNACK.
+  RawClient raw;
+  WaitFor([&] { return raw.Connect(hosts[0]->ClientPort(), "raw-fenced"); });
+
+  // Losing both peers costs host 1 its quorum contact: it fences, sending
+  // every local client a DISCONNECT notice and closing the connection.
+  hosts[1]->Stop();
+  hosts[2]->Stop();
+
+  bool sawDisconnect = false;
+  while (const auto frame = raw.Next()) {
+    if (std::holds_alternative<DisconnectFrame>(*frame)) sawDisconnect = true;
+  }
+  EXPECT_TRUE(sawDisconnect) << "connection closed without the fence notice";
+  bool fenced = false;
+  hosts[0]->WithNode([&](ClusterNode& node) { fenced = node.IsFenced(); });
+  EXPECT_TRUE(fenced);
+}
+
+TEST_F(TcpClusterTest, EachHostExportsItsTransportMetrics) {
+  StartCluster();
+
+  // Peer and coordination traffic (heartbeats, elections) alone exercises
+  // every host's loop; each host's families carry its own server label.
+  for (auto& host : hosts) {
+    const std::string server = obs::ServerLabel(host->serverId());
+    const std::string sendmsg = server + ",op=\"sendmsg\"";
+    WaitFor([&] {
+      const auto snap = registry.Snapshot();
+      return snap.Value("md_transport_bytes_written_total", server) > 0 &&
+             snap.Value("md_transport_syscalls_total", sendmsg) > 0;
+    });
+    const auto snap = registry.Snapshot();
+    EXPECT_GT(snap.Value("md_transport_loop_iterations_total", server), 0)
+        << server;
+    EXPECT_GT(snap.Value("md_transport_bytes_read_total", server), 0) << server;
+    EXPECT_GT(snap.Value("md_transport_syscalls_total", server + ",op=\"recv\""), 0)
+        << server;
+    // Every send leaves through the flush pass's sendmsg.
+    const auto* send = snap.Find("md_transport_syscalls_total", server + ",op=\"send\"");
+    ASSERT_NE(send, nullptr) << server;
+    EXPECT_EQ(send->value, 0) << server;
+    EXPECT_NE(snap.Find("md_transport_send_queue_bytes", server), nullptr) << server;
+  }
 }
 
 }  // namespace

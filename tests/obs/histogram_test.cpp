@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -81,19 +83,37 @@ void ExpectWithinBucketError(std::int64_t got, std::int64_t oracle) {
       << "quantile drifted by more than one bucket";
 }
 
-class HistogramOracleTest
-    : public ::testing::TestWithParam<std::vector<std::int64_t> (*)(void)> {};
+// One test distribution: a case name and the seed its sample is drawn
+// from. gtest prints the parameter into the listed test name, so it prints
+// as its seed — a function pointer would print as an address that moves
+// with every run of the binary and make the registered test names unstable.
+struct Distribution {
+  const char* name;
+  std::uint64_t seed;
+  std::vector<std::int64_t> (*sample)(std::uint64_t seed);
+};
 
-std::vector<std::int64_t> Exponential() {
-  return ExponentialSample(11, 20'000, 2'000'000.0);
+void PrintTo(const Distribution& d, std::ostream* os) { *os << d.seed; }
+
+class HistogramOracleTest : public ::testing::TestWithParam<Distribution> {
+ protected:
+  static std::vector<std::int64_t> Sample() {
+    return GetParam().sample(GetParam().seed);
+  }
+};
+
+std::vector<std::int64_t> Exponential(std::uint64_t seed) {
+  return ExponentialSample(seed, 20'000, 2'000'000.0);
 }
-std::vector<std::int64_t> Uniform() {
-  return UniformSample(12, 20'000, 1'000, 50'000'000);
+std::vector<std::int64_t> Uniform(std::uint64_t seed) {
+  return UniformSample(seed, 20'000, 1'000, 50'000'000);
 }
-std::vector<std::int64_t> Bimodal() { return BimodalSample(13, 20'000); }
+std::vector<std::int64_t> Bimodal(std::uint64_t seed) {
+  return BimodalSample(seed, 20'000);
+}
 
 TEST_P(HistogramOracleTest, QuantilesMatchSortedVectorOracle) {
-  const std::vector<std::int64_t> values = GetParam()();
+  const std::vector<std::int64_t> values = Sample();
   Histogram h;
   for (const std::int64_t v : values) h.Record(v);
 
@@ -112,7 +132,7 @@ TEST_P(HistogramOracleTest, QuantilesMatchSortedVectorOracle) {
 }
 
 TEST_P(HistogramOracleTest, CumulativeCountsMatchOracleAtExpositionBounds) {
-  const std::vector<std::int64_t> values = GetParam()();
+  const std::vector<std::int64_t> values = Sample();
   Histogram h;
   for (const std::int64_t v : values) h.Record(v);
 
@@ -140,15 +160,12 @@ TEST_P(HistogramOracleTest, CumulativeCountsMatchOracleAtExpositionBounds) {
   EXPECT_EQ(h.CountAtOrBelow(-1), 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Distributions, HistogramOracleTest,
-                         ::testing::Values(&Exponential, &Uniform, &Bimodal),
-                         [](const auto& info) {
-                           switch (info.index) {
-                             case 0: return "Exponential";
-                             case 1: return "Uniform";
-                             default: return "Bimodal";
-                           }
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    Distributions, HistogramOracleTest,
+    ::testing::Values(Distribution{"Exponential", 11, &Exponential},
+                      Distribution{"Uniform", 12, &Uniform},
+                      Distribution{"Bimodal", 13, &Bimodal}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 TEST(HistogramMergeTest, MergeIsAssociativeAndOrderInsensitive) {
   const auto a = ExponentialSample(21, 5'000, 300'000.0);

@@ -19,6 +19,7 @@
 #include <cstring>
 #include <thread>
 
+#include "obs/families.hpp"
 #include "transport/transport.hpp"
 #include "transport/wire.hpp"
 
@@ -475,6 +476,68 @@ TEST_P(EgressParityTest, CloseAfterFlushDeliversEverythingFirst) {
     pair.client->CloseAfterFlush();  // goodbye frame semantics
   });
   LoopThread::WaitFor([&] { return count.load() == kTotal; });
+}
+
+TEST_P(EgressParityTest, CopiedSendsCoalesceIntoOneSendmsgPerRound) {
+  // Copied sends (acks, peer frames) are deferred like shared ones: a
+  // hundred small frames queued in one loop task leave in the round's flush
+  // pass as a single sendmsg, never as per-frame send() calls.
+  obs::MetricsRegistry registry;
+  obs::TransportMetrics tm(registry);
+  Pair pair;
+  Bytes sink;
+  std::atomic<std::size_t> count{0};
+  ConnectPair(pair, &sink, &count);
+  lt_->RunOnLoop([&] { lt_->loop().SetMetrics(&tm); });
+
+  constexpr int kFrames = 100;
+  constexpr std::size_t kFrame = 140;
+  Bytes expected;
+  std::uint64_t sendmsgBefore = 0;
+  lt_->RunOnLoop([&] {
+    sendmsgBefore = tm.syscallsSendmsg.Value();
+    for (int i = 0; i < kFrames; ++i) {
+      const Bytes frame = Pattern(kFrame, static_cast<std::uint8_t>(i));
+      expected.insert(expected.end(), frame.begin(), frame.end());
+      ASSERT_TRUE(pair.client->Send(BytesView(frame)).ok()) << "send " << i;
+      EXPECT_GT(pair.client->PendingBytes(), 0u) << "send " << i
+                                                 << " was written inline";
+    }
+    EXPECT_EQ(pair.client->PendingBytes(), kFrames * kFrame);
+  });
+  LoopThread::WaitFor([&] { return count.load() == kFrames * kFrame; });
+  lt_->RunOnLoop([&] {
+    EXPECT_TRUE(sink == expected) << "coalesced frames reordered or torn";
+    EXPECT_EQ(pair.client->PendingBytes(), 0u);
+    EXPECT_EQ(tm.syscallsSendmsg.Value() - sendmsgBefore, 1u);
+    EXPECT_EQ(tm.syscallsSend.Value(), 0u);
+    lt_->loop().SetMetrics(nullptr);
+    pair.client->Close();
+  });
+}
+
+TEST_P(EgressParityTest, DeferredCopiedBytesNeverTripTheSoftMark) {
+  // The copied-send twin of DeferredBytesAreNotBackpressure: one task
+  // queues 34x the soft mark through Send(BytesView) to a reading peer.
+  // Every send must return OK — deferred bytes are flushed before the soft
+  // advisory is considered, so only real kernel pushback can raise it.
+  Pair pair;
+  std::atomic<std::size_t> count{0};
+  ConnectPair(pair, nullptr, &count);
+
+  constexpr std::size_t kFrame = 140;
+  constexpr int kSends = 2000;  // ~273 KiB in one batch vs an 8 KiB soft mark
+  lt_->RunOnLoop([&] {
+    pair.client->SetWatermarks(
+        {/*soft=*/8 * 1024, /*hard=*/64 * 1024, /*low=*/4 * 1024});
+    const Bytes frame(kFrame, 0x3C);
+    for (int i = 0; i < kSends; ++i) {
+      const Status st = pair.client->Send(BytesView(frame));
+      EXPECT_TRUE(st.ok()) << "send " << i << ": " << st.ToString();
+    }
+  });
+  LoopThread::WaitFor([&] { return count.load() == kFrame * kSends; });
+  lt_->RunOnLoop([&] { pair.client->Close(); });
 }
 
 INSTANTIATE_TEST_SUITE_P(AllLoops, EgressParityTest,
