@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot-path components:
-// wire codec, WebSocket framing, queues, cache, registry fan-out, histogram
-// and hashing. These are the constants behind the engine model calibration.
+// wire codec, WAL record framing, WebSocket framing, queues, cache,
+// registry fan-out, histogram and hashing. These are the constants behind
+// the engine model calibration.
 #include <benchmark/benchmark.h>
 
 #include "common/hash.hpp"
@@ -12,6 +13,7 @@
 #include "core/registry.hpp"
 #include "proto/codec.hpp"
 #include "proto/websocket.hpp"
+#include "wal/format.hpp"
 
 namespace {
 
@@ -40,6 +42,50 @@ void BM_EncodeDeliver(benchmark::State& state) {
                           static_cast<std::int64_t>(out.size()));
 }
 BENCHMARK(BM_EncodeDeliver)->Arg(140)->Arg(512)->Arg(4096);
+
+// A 140 B-payload replication frame: what the coordinator encodes once per
+// publication and queues on every peer link.
+void BM_EncodeFramed(benchmark::State& state) {
+  BroadcastFrame bcast;
+  bcast.msg = MakeMessage(static_cast<std::size_t>(state.range(0)));
+  bcast.group = 42;
+  bcast.coordinatorId = "server-1";
+  bcast.fenceEpoch = 7;
+  const Frame frame{bcast};
+  Bytes out;
+  for (auto _ : state) {
+    out.clear();
+    EncodeFramed(frame, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(out.size()));
+}
+BENCHMARK(BM_EncodeFramed)->Arg(140);
+
+// One WAL record (framing + CRC) per cached publication.
+void BM_WalEncodeRecord(benchmark::State& state) {
+  const Message m = MakeMessage(static_cast<std::size_t>(state.range(0)));
+  Bytes out;
+  for (auto _ : state) {
+    out.clear();
+    wal::EncodeRecord(m, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(out.size()));
+}
+BENCHMARK(BM_WalEncodeRecord)->Arg(140)->Arg(4096);
+
+void BM_WalCrc32(benchmark::State& state) {
+  const Bytes data(static_cast<std::size_t>(state.range(0)), 0x5A);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(wal::Crc32(BytesView(data)));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_WalCrc32)->Arg(4096);
 
 void BM_DecodeDeliver(benchmark::State& state) {
   Bytes wire;

@@ -43,7 +43,7 @@ struct ServerAddress {
   /// Cluster server id at this address (optional). When set, a HANDOFF
   /// redirect can be honored directly: the client reconnects to the named
   /// new owner instead of a random pick.
-  std::string id;
+  std::string id = {};
 };
 
 /// Wire transport used toward the service (paper §3: "over WebSockets (or

@@ -425,7 +425,14 @@ void ClusterNode::SequenceAndBroadcast(const ParkedPublication& pub) {
     return;
   }
 
-  Message msg;
+  // Built in place inside the frame every peer receives: the message is
+  // cached, broadcast and delivered from this one copy.
+  Frame frame{BroadcastFrame{}};
+  BroadcastFrame& bcast = std::get<BroadcastFrame>(frame);
+  bcast.group = group;
+  bcast.coordinatorId = cfg_.serverId;
+  bcast.fenceEpoch = fenceEpoch_;
+  Message& msg = bcast.msg;
   msg.topic = pub.topic;
   msg.payload = pub.payload;
   msg.epoch = pos->epoch;
@@ -433,10 +440,10 @@ void ClusterNode::SequenceAndBroadcast(const ParkedPublication& pub) {
   msg.pubId = pub.pubId;
   msg.publishTs = pub.publishTs;
 
-  if (!deliveryCursor_.contains(msg.topic)) {
-    deliveryCursor_[msg.topic] = cache_.LastPos(msg.topic).value_or(StreamPos{});
-  }
-  cache_.Append(msg, env_.Now());
+  StreamPos prevTail;
+  const bool appended = cache_.Append(msg, env_.Now(), &prevTail);
+  // A topic seen for the first time starts delivering after what is cached.
+  deliveryCursor_.try_emplace(msg.topic, prevTail);
   cm_.published.Inc();
 
   // Track the pending ack. A local publisher is acknowledged after
@@ -459,14 +466,9 @@ void ClusterNode::SequenceAndBroadcast(const ParkedPublication& pub) {
     cm_.replicationPending.Add(1);
   }
 
-  BroadcastFrame bcast;
-  bcast.msg = msg;
-  bcast.group = group;
-  bcast.coordinatorId = cfg_.serverId;
-  bcast.fenceEpoch = fenceEpoch_;
-  for (const std::string& peer : peers_) env_.SendToPeer(peer, bcast);
+  env_.SendToPeers(peers_, frame);
 
-  DeliverInOrder(msg.topic);
+  DeliverAppended(msg, appended, prevTail);
 }
 
 void ClusterNode::AttemptTakeover(std::uint32_t group) {
@@ -618,10 +620,15 @@ void ClusterNode::OnBroadcast(const std::string& from, const BroadcastFrame& bca
   // coordinator to backfill first (§5.2.2: "ask from the cache of the peer
   // the messages after the last sequence number it previously received").
   // An epoch jump is indistinguishable from a gap locally; sync then too
-  // (the response is empty when nothing was missed).
+  // (the response is empty when nothing was missed). A topic with nothing
+  // cached has a gap unless this is its first sequence number: its first
+  // broadcast was lost, and only the sync can bring it back.
   const auto last = cache_.LastPos(bcast.msg.topic);
-  if (last && PosOf(bcast.msg) > *last &&
-      (bcast.msg.epoch > last->epoch || bcast.msg.seq > last->seq + 1)) {
+  const bool gap =
+      last ? PosOf(bcast.msg) > *last && (bcast.msg.epoch > last->epoch ||
+                                          bcast.msg.seq > last->seq + 1)
+           : bcast.msg.seq > 1;
+  if (gap) {
     CacheSyncReqFrame req;
     req.group = bcast.group;
     req.have = cache_.GroupPositions(bcast.group);
@@ -631,11 +638,10 @@ void ClusterNode::OnBroadcast(const std::string& from, const BroadcastFrame& bca
     // publisher acks are not held up.
     StallDelivery(bcast.msg.topic);
   }
-  if (!deliveryCursor_.contains(bcast.msg.topic)) {
-    deliveryCursor_[bcast.msg.topic] = last.value_or(StreamPos{});
-  }
+  const StreamPos prevTail = last.value_or(StreamPos{});
+  deliveryCursor_.try_emplace(bcast.msg.topic, prevTail);
 
-  cache_.Append(bcast.msg, env_.Now());
+  const bool appended = cache_.Append(bcast.msg, env_.Now());
   env_.SendToPeer(from, BroadcastAckFrame{bcast.group, bcast.msg.epoch,
                                           bcast.msg.seq, bcast.msg.topic});
 
@@ -645,7 +651,7 @@ void ClusterNode::OnBroadcast(const std::string& from, const BroadcastFrame& bca
   // ReplicatedNotice instead.
   if (cfg_.ackCopies <= 2) AckContactPending(bcast.msg.pubId, true);
 
-  DeliverInOrder(bcast.msg.topic);
+  DeliverAppended(bcast.msg, appended, prevTail);
 }
 
 void ClusterNode::OnBroadcastAck(const std::string&, const BroadcastAckFrame& ack) {
@@ -811,6 +817,23 @@ void ClusterNode::DeliverInOrder(const std::string& topic) {
     cursor = PosOf(msg);
     DeliverToLocalSubscribers(msg);
   }
+}
+
+void ClusterNode::DeliverAppended(const Message& msg, bool appended,
+                                  StreamPos prevTail) {
+  // Live fast path: when `msg` became the topic's new tail and the cursor
+  // sat at the old one, `msg` is exactly what DeliverInOrder would read
+  // back from the cache, so hand it over without the search and the copy.
+  // Everything else (a stall, a rewound or lagging cursor, a duplicate)
+  // takes the general path.
+  const auto cursor = deliveryCursor_.find(msg.topic);
+  if (appended && cursor != deliveryCursor_.end() &&
+      cursor->second == prevTail && !gapStalled_.contains(msg.topic)) {
+    cursor->second = PosOf(msg);
+    DeliverToLocalSubscribers(msg);
+    return;
+  }
+  DeliverInOrder(msg.topic);
 }
 
 void ClusterNode::StallDelivery(const std::string& topic) {

@@ -132,6 +132,13 @@ class ClusterEnv {
  public:
   virtual ~ClusterEnv() = default;
   virtual void SendToPeer(const std::string& serverId, const Frame& frame) = 0;
+  /// Batched replication: one frame to many peers. Hosts override this to
+  /// encode the frame once for all of them; the default preserves per-peer
+  /// semantics exactly.
+  virtual void SendToPeers(const std::vector<std::string>& serverIds,
+                           const Frame& frame) {
+    for (const std::string& serverId : serverIds) SendToPeer(serverId, frame);
+  }
   virtual void SendToClient(ClientHandle client, const Frame& frame) = 0;
   /// Batched fan-out: one frame to many clients. Hosts override this to
   /// encode the wire bytes once and share them across every socket write
@@ -313,6 +320,9 @@ class ClusterNode {
   void WalFlushTick();
   void DeliverToLocalSubscribers(const Message& msg);
   void DeliverInOrder(const std::string& topic);
+  /// Local fan-out after `msg` was offered to the cache, whose tail before
+  /// the append was `prevTail` ({} if the topic had none).
+  void DeliverAppended(const Message& msg, bool appended, StreamPos prevTail);
   void StallDelivery(const std::string& topic);
   void AckContactPending(const PublicationId& pubId, bool ok);
 

@@ -18,7 +18,12 @@ class TcpClusterHost::NodeEnv final : public ClusterEnv {
   NodeEnv(TcpClusterHost& host, std::uint64_t seed) : host_(host), rng_(seed) {}
 
   void SendToPeer(const std::string& serverId, const Frame& frame) override {
-    host_.SendPeerFrame(serverId, frame);
+    host_.SendToPeers({&serverId, 1}, frame);
+  }
+
+  void SendToPeers(const std::vector<std::string>& serverIds,
+                   const Frame& frame) override {
+    host_.SendToPeers(serverIds, frame);
   }
 
   void SendToClient(ClientHandle client, const Frame& frame) override {
@@ -383,16 +388,27 @@ void TcpClusterHost::EnsurePeerLink(const std::string& serverId) {
   });
 }
 
-void TcpClusterHost::SendPeerFrame(const std::string& serverId, const Frame& frame) {
-  Bytes wire;
-  EncodeFramed(frame, wire);
-  PeerLink& link = peerLinks_[serverId];
-  if (link.conn && link.conn->IsOpen()) {
-    (void)link.conn->Send(BytesView(wire));
-    return;
+void TcpClusterHost::SendToPeers(std::span<const std::string> serverIds,
+                                 const Frame& frame) {
+  // One encode per frame, whatever the number of peers. Each open link
+  // copies the bytes into its send queue's coalescing tail, so the scratch
+  // buffer is free again on return and peer frames of one loop round leave
+  // in one sendmsg per link. (A connect never completes inside Send or
+  // EnsurePeerLink, so nothing re-enters this while the loop runs.)
+  peerScratch_.clear();
+  EncodeFramed(frame, peerScratch_);
+  const BytesView wire(peerScratch_);
+  for (const std::string& serverId : serverIds) {
+    PeerLink& link = peerLinks_[serverId];
+    if (link.conn && link.conn->IsOpen()) {
+      (void)link.conn->Send(wire);
+      continue;
+    }
+    if (link.backlog.size() < kMaxBacklogFrames) {
+      link.backlog.emplace_back(wire.begin(), wire.end());
+    }
+    EnsurePeerLink(serverId);
   }
-  if (link.backlog.size() < kMaxBacklogFrames) link.backlog.push_back(std::move(wire));
-  EnsurePeerLink(serverId);
 }
 
 // ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@
 #include <atomic>
 #include <deque>
 #include <memory>
+#include <span>
 #include <thread>
 
 #include "cluster/node.hpp"
@@ -131,7 +132,9 @@ class TcpClusterHost {
   void AdoptPeerConnection(const std::string& serverId, ConnectionPtr conn);
   void EnsurePeerLink(const std::string& serverId);
   void EnsureCoordLink(coord::NodeId nodeId);
-  void SendPeerFrame(const std::string& serverId, const Frame& frame);
+  /// Encodes `frame` once and queues it on every listed peer link (or in
+  /// the link's backlog while it is down).
+  void SendToPeers(std::span<const std::string> serverIds, const Frame& frame);
   void SendCoordMsg(coord::NodeId to, const coord::CoordMsg& msg);
   void RetryLinks();
   /// Status-checked client write applying `clientBackpressure` (loop thread):
@@ -171,6 +174,7 @@ class TcpClusterHost {
   ClientHandle nextHandle_ = 1;
   std::map<ClientHandle, std::shared_ptr<ClientConn>> clients_;
   std::map<std::string, PeerLink> peerLinks_;
+  Bytes peerScratch_;  // SendToPeers' reused encode buffer
   std::map<coord::NodeId, CoordLink> coordLinks_;
 };
 

@@ -5,6 +5,7 @@
 // Status instead of throwing (decode runs on untrusted network input).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -35,18 +36,9 @@ class ByteWriter {
 
   void WriteU8(std::uint8_t v) { out_.push_back(v); }
 
-  void WriteU16(std::uint16_t v) {
-    out_.push_back(static_cast<std::uint8_t>(v));
-    out_.push_back(static_cast<std::uint8_t>(v >> 8));
-  }
-
-  void WriteU32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-
-  void WriteU64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  void WriteU16(std::uint16_t v) { WriteLittleEndian<2>(v); }
+  void WriteU32(std::uint32_t v) { WriteLittleEndian<4>(v); }
+  void WriteU64(std::uint64_t v) { WriteLittleEndian<8>(v); }
 
   /// LEB128 unsigned varint (1–10 bytes).
   void WriteVarint(std::uint64_t v) {
@@ -72,8 +64,57 @@ class ByteWriter {
   [[nodiscard]] std::size_t size() const noexcept { return out_.size(); }
 
  private:
+  // Staged in a local array and appended with one insert: a single capacity
+  // check instead of one per byte (the compiler folds the shifts into one
+  // store on little-endian hosts).
+  template <int N>
+  void WriteLittleEndian(std::uint64_t v) {
+    std::uint8_t bytes[N];
+    for (int i = 0; i < N; ++i) bytes[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    out_.insert(out_.end(), bytes, bytes + N);
+  }
+
   Bytes& out_;
 };
+
+/// Encoded length of `v` as a LEB128 varint (1–10 bytes).
+[[nodiscard]] constexpr std::size_t VarintSize(std::uint64_t v) noexcept {
+  std::size_t n = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++n;
+  }
+  return n;
+}
+
+/// ByteWriter's interface, counting bytes instead of storing them. An
+/// encoder templated on its writer runs once over a ByteSizer to learn the
+/// exact size, so the real pass can reserve once and write in place.
+class ByteSizer {
+ public:
+  void WriteU8(std::uint8_t) noexcept { size_ += 1; }
+  void WriteU16(std::uint16_t) noexcept { size_ += 2; }
+  void WriteU32(std::uint32_t) noexcept { size_ += 4; }
+  void WriteU64(std::uint64_t) noexcept { size_ += 8; }
+  void WriteVarint(std::uint64_t v) noexcept { size_ += VarintSize(v); }
+  void WriteBytes(BytesView data) noexcept { size_ += data.size(); }
+  void WriteLengthPrefixed(BytesView data) noexcept {
+    size_ += VarintSize(data.size()) + data.size();
+  }
+  void WriteString(std::string_view s) noexcept { WriteLengthPrefixed(AsBytes(s)); }
+
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+ private:
+  std::size_t size_ = 0;
+};
+
+/// Makes room for `extra` more bytes in `out`, growing geometrically so a
+/// buffer that many encodes append to keeps amortized O(1) appends.
+inline void ReserveForAppend(Bytes& out, std::size_t extra) {
+  const std::size_t need = out.size() + extra;
+  if (need > out.capacity()) out.reserve(std::max(need, 2 * out.capacity()));
+}
 
 /// Cursor over immutable bytes; every read checks bounds.
 class ByteReader {

@@ -12,7 +12,8 @@ TopicTable& Topics() { return TopicTable::Default(); }
 
 Cache::Cache(CacheConfig cfg) : cfg_(cfg), shards_(cfg.topicGroups) {}
 
-bool Cache::Append(const Message& msg, TimePoint now) {
+bool Cache::Append(const Message& msg, TimePoint now, StreamPos* prevTail) {
+  if (prevTail != nullptr) *prevTail = {};
   const TopicId id = Topics().Intern(msg.topic);
   if (id == kInvalidTopicId) return false;
   Shard& shard = ShardFor(msg.topic);
@@ -21,6 +22,7 @@ bool Cache::Append(const Message& msg, TimePoint now) {
 
   if (!history.entries.empty()) {
     const StreamPos last = PosOf(history.entries.back().msg);
+    if (prevTail != nullptr) *prevTail = last;
     if (PosOf(msg) <= last) return false;  // duplicate or stale
   }
   history.entries.push_back({msg, now});

@@ -56,7 +56,10 @@ class Cache {
 
   /// Appends a sequenced message to its topic's history. Out-of-date
   /// duplicates (pos <= last cached pos) are ignored; returns true if stored.
-  bool Append(const Message& msg, TimePoint now = 0);
+  /// `prevTail`, when given, receives the topic's newest position before
+  /// the call ({} if the topic had none).
+  bool Append(const Message& msg, TimePoint now = 0,
+              StreamPos* prevTail = nullptr);
 
   /// Sorted insert for recovery merges: unlike Append, accepts messages
   /// older than the newest cached position and backfills them in order

@@ -8,7 +8,11 @@ namespace {
 
 // --- field-level helpers ----------------------------------------------------
 
-void WritePubId(ByteWriter& w, const PublicationId& id) {
+// Writers are templates over ByteWriter / ByteSizer: the same field code
+// measures a frame and then encodes it (EncodeFramed).
+
+template <typename W>
+void WritePubId(W& w, const PublicationId& id) {
   w.WriteU64(id.clientHash);
   w.WriteVarint(id.counter);
 }
@@ -18,7 +22,8 @@ Status ReadPubId(ByteReader& r, PublicationId& id) {
   return r.ReadVarint(id.counter);
 }
 
-void WriteMessage(ByteWriter& w, const Message& m) {
+template <typename W>
+void WriteMessage(W& w, const Message& m) {
   w.WriteString(m.topic);
   w.WriteLengthPrefixed(m.payload);
   w.WriteVarint(m.epoch);
@@ -43,7 +48,8 @@ Status ReadMessage(ByteReader& r, Message& m) {
   return OkStatus();
 }
 
-void WritePos(ByteWriter& w, const StreamPos& p) {
+template <typename W>
+void WritePos(W& w, const StreamPos& p) {
   w.WriteVarint(p.epoch);
   w.WriteVarint(p.seq);
 }
@@ -66,7 +72,8 @@ Status ReadEpoch32(ByteReader& r, std::uint32_t& out) {
   return OkStatus();
 }
 
-void WriteCursors(ByteWriter& w,
+template <typename W>
+void WriteCursors(W& w,
                   const std::vector<std::pair<std::string, StreamPos>>& cursors) {
   w.WriteVarint(cursors.size());
   for (const auto& [topic, pos] : cursors) {
@@ -93,8 +100,9 @@ Status ReadCursors(ByteReader& r,
 
 // --- per-frame encoders -----------------------------------------------------
 
+template <typename W>
 struct Encoder {
-  ByteWriter& w;
+  W& w;
 
   void operator()(const ConnectFrame& f) { w.WriteString(f.clientId); }
   void operator()(const ConnAckFrame& f) { w.WriteString(f.serverId); }
@@ -463,10 +471,26 @@ const char* FrameTypeName(FrameType type) noexcept {
   return "UNKNOWN";
 }
 
-void EncodeFrame(const Frame& frame, Bytes& out) {
-  ByteWriter w(out);
+namespace {
+
+template <typename W>
+void WriteFrame(W& w, const Frame& frame) {
   w.WriteU8(static_cast<std::uint8_t>(TypeOf(frame)));
-  std::visit(Encoder{w}, frame);
+  std::visit(Encoder<W>{w}, frame);
+}
+
+std::size_t EncodedSize(const Frame& frame) {
+  ByteSizer sizer;
+  WriteFrame(sizer, frame);
+  return sizer.size();
+}
+
+}  // namespace
+
+void EncodeFrame(const Frame& frame, Bytes& out) {
+  ReserveForAppend(out, EncodedSize(frame));
+  ByteWriter w(out);
+  WriteFrame(w, frame);
 }
 
 Result<Frame> DecodeFrame(BytesView data) {
@@ -502,11 +526,12 @@ Result<Frame> DecodeFrame(BytesView data) {
 }
 
 void EncodeFramed(const Frame& frame, Bytes& out) {
-  Bytes body;
-  EncodeFrame(frame, body);
+  // Measure, reserve once, then write the prefix and the body in place.
+  const std::size_t body = EncodedSize(frame);
+  ReserveForAppend(out, VarintSize(body) + body);
   ByteWriter w(out);
-  w.WriteVarint(body.size());
-  w.WriteBytes(body);
+  w.WriteVarint(body);
+  WriteFrame(w, frame);
 }
 
 FrameExtractResult ExtractFrame(ByteQueue& in, std::size_t maxFrameSize) {

@@ -187,7 +187,7 @@ struct CacheSyncReqFrame {
   // (bit flip or ENOSPC at a topic's head) and no forward cursor can express
   // a hole that lies before the surviving history; topics absent here get no
   // older-than backfill.
-  std::vector<std::pair<std::string, StreamPos>> head;
+  std::vector<std::pair<std::string, StreamPos>> head = {};
   friend bool operator==(const CacheSyncReqFrame&, const CacheSyncReqFrame&) = default;
 };
 

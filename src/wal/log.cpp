@@ -93,7 +93,8 @@ Status Log::Append(std::uint32_t group, const Message& msg,
     }
   }
 
-  Bytes frame;
+  Bytes& frame = recordScratch_;
+  frame.clear();
   EncodeRecord(msg, frame);
   if (Status s = g.file->Append(frame); !s.ok()) {
     if (s.code() == ErrorCode::kCapacity && metrics_ != nullptr) {

@@ -137,6 +137,7 @@ class Log {
 
   std::mutex mutex_;
   std::map<std::uint32_t, GroupState> groups_;
+  Bytes recordScratch_;  // reused encode buffer for Append (under mutex_)
 };
 
 }  // namespace md::wal

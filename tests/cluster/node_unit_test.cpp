@@ -297,6 +297,135 @@ TEST_F(ClusterNodeUnitTest, CacheSyncRespBackfillsViaInsert) {
   EXPECT_EQ(node.stats().recoveredMessages, 2u);
 }
 
+// --- local fan-out: the live fast path against stalls and cursors -----------
+
+class LocalDeliveryTest : public ClusterNodeUnitTest {
+ protected:
+  static constexpr ClientHandle kSub = 20;
+
+  static Message Msg(std::uint64_t seq, const std::string& topic = "t") {
+    Message m;
+    m.topic = topic;
+    m.payload = {static_cast<std::uint8_t>(seq)};
+    m.epoch = 1;
+    m.seq = seq;
+    m.pubId = {5, seq};
+    return m;
+  }
+  static Frame Bcast(std::uint64_t seq, const std::string& topic = "t") {
+    return Frame(BroadcastFrame{Msg(seq, topic), TopicGroupOf(topic, 4), "peer-a"});
+  }
+  static Frame SyncResp(std::vector<std::uint64_t> seqs, bool done,
+                        const std::string& topic = "t") {
+    CacheSyncRespFrame resp;
+    resp.group = TopicGroupOf(topic, 4);
+    for (const std::uint64_t seq : seqs) resp.messages.push_back(Msg(seq, topic));
+    resp.done = done;
+    return Frame(resp);
+  }
+  void Subscribe(std::optional<StreamPos> resumeAfter = {}) {
+    node.OnClientConnect(kSub, "sub");
+    SubscribeFrame sub;
+    sub.topic = "t";
+    sub.hasResumePos = resumeAfter.has_value();
+    sub.resumeAfter = resumeAfter.value_or(StreamPos{});
+    node.OnClientFrame(kSub, Frame(sub));
+  }
+  [[nodiscard]] std::vector<std::uint64_t> Delivered() const {
+    std::vector<std::uint64_t> seqs;
+    for (const auto& [client, deliver] : env.ClientsOf<DeliverFrame>()) {
+      if (client == kSub) seqs.push_back(deliver.msg.seq);
+    }
+    return seqs;
+  }
+  [[nodiscard]] std::size_t SyncRequestsTo(const std::string& peer) const {
+    std::size_t n = 0;
+    for (const auto& [to, req] : env.PeersOf<CacheSyncReqFrame>()) n += to == peer;
+    return n;
+  }
+};
+
+TEST_F(LocalDeliveryTest, LiveBroadcastsDeliverOnceInOrder) {
+  Subscribe();
+  for (std::uint64_t s = 1; s <= 4; ++s) node.OnPeerFrame("peer-a", Bcast(s));
+  EXPECT_EQ(Delivered(), (std::vector<std::uint64_t>{1, 2, 3, 4}));
+  // A redelivered broadcast is a cache duplicate: nothing goes out again.
+  node.OnPeerFrame("peer-a", Bcast(4));
+  EXPECT_EQ(Delivered().size(), 4u);
+}
+
+TEST_F(LocalDeliveryTest, GapStallHoldsTheBroadcastThatOpenedIt) {
+  // The broadcast past the hole extends the cache tail the cursor sits on,
+  // so only the stall keeps it from the subscriber until the hole is filled.
+  Subscribe();
+  node.OnPeerFrame("peer-a", Bcast(1));
+  node.OnPeerFrame("peer-a", Bcast(3));
+  EXPECT_EQ(Delivered(), (std::vector<std::uint64_t>{1}));
+  EXPECT_EQ(SyncRequestsTo("peer-a"), 1u);
+  node.OnPeerFrame("peer-a", Bcast(4));  // still stalled
+  EXPECT_EQ(Delivered(), (std::vector<std::uint64_t>{1}));
+
+  node.OnPeerFrame("peer-a", SyncResp({2}, /*done=*/true));
+  EXPECT_EQ(Delivered(), (std::vector<std::uint64_t>{1, 2, 3, 4}));
+}
+
+TEST_F(LocalDeliveryTest, LostFirstBroadcastOfATopicIsBackfilled) {
+  Subscribe();
+  // Sequence 2 is the first this node hears of the topic: 1 was lost.
+  node.OnPeerFrame("peer-a", Bcast(2));
+  EXPECT_TRUE(Delivered().empty());
+  ASSERT_EQ(SyncRequestsTo("peer-a"), 1u);
+
+  node.OnPeerFrame("peer-a", SyncResp({1, 2}, /*done=*/true));
+  EXPECT_EQ(Delivered(), (std::vector<std::uint64_t>{1, 2}));
+  node.OnPeerFrame("peer-a", Bcast(3));
+  EXPECT_EQ(Delivered(), (std::vector<std::uint64_t>{1, 2, 3}));
+}
+
+TEST_F(LocalDeliveryTest, FirstSequenceOfATopicNeedsNoSync) {
+  Subscribe();
+  node.OnPeerFrame("peer-a", Bcast(1));
+  EXPECT_EQ(Delivered(), (std::vector<std::uint64_t>{1}));
+  EXPECT_EQ(SyncRequestsTo("peer-a"), 0u);
+}
+
+TEST_F(LocalDeliveryTest, CursorLaggingAPartialSyncIsNotSkipped) {
+  // A link-recovery sync lands 3 and 4 in the cache ahead of the cursor
+  // (its final chunk has not arrived). The next live broadcast must not
+  // jump the cursor past them.
+  Subscribe();
+  node.OnPeerFrame("peer-a", Bcast(1));
+  node.OnPeerFrame("peer-a", Bcast(2));
+  node.SyncFromPeer("peer-a");
+  node.OnPeerFrame("peer-a", SyncResp({3, 4}, /*done=*/false));
+  EXPECT_EQ(Delivered(), (std::vector<std::uint64_t>{1, 2}));
+
+  node.OnPeerFrame("peer-a", Bcast(5));
+  EXPECT_EQ(Delivered(), (std::vector<std::uint64_t>{1, 2, 3, 4, 5}));
+  node.OnPeerFrame("peer-a", SyncResp({}, /*done=*/true));
+  EXPECT_EQ(Delivered().size(), 5u);
+}
+
+TEST_F(LocalDeliveryTest, TruncatedResumeRewindsTheCursorPastLiveTraffic) {
+  // After a restart the whole cache is suspect until reconstruction ends.
+  node.Crash();
+  node.Restart();
+  // A partial answer leaves a hole at 3.
+  node.OnPeerFrame("peer-a", SyncResp({1, 2, 4}, /*done=*/false));
+  env.Clear();
+  // A resuming subscriber gets only the provably contiguous 2; the shared
+  // cursor is rewound to it and the topic stalls.
+  Subscribe(StreamPos{1, 1});
+  EXPECT_EQ(Delivered(), (std::vector<std::uint64_t>{2}));
+
+  // Live traffic during the stall waits behind the rewound cursor.
+  node.OnPeerFrame("peer-a", Bcast(5));
+  EXPECT_EQ(Delivered(), (std::vector<std::uint64_t>{2}));
+
+  node.OnPeerFrame("peer-a", SyncResp({3}, /*done=*/true));
+  EXPECT_EQ(Delivered(), (std::vector<std::uint64_t>{2, 3, 4, 5}));
+}
+
 TEST_F(ClusterNodeUnitTest, GossipWithHigherEpochWinsLowerIgnored) {
   node.OnPeerFrame("peer-a", Frame(GossipAnnounceFrame{0, 5, "peer-a"}));
   node.OnPeerFrame("peer-b", Frame(GossipAnnounceFrame{0, 3, "peer-b"}));  // stale

@@ -229,5 +229,54 @@ TEST_F(ProtocolEdgeTest, ManyTopicsManyMessagesTotalOrderPerTopic) {
   }
 }
 
+TEST_F(ProtocolEdgeTest, LostFirstBroadcastOfATopicIsBackfilled) {
+  MakeCluster(3, 91);
+  // Elect the coordinator of the topic's group through another topic, so the
+  // first publication of "first-lost" is sequenced at a known server.
+  const std::string topic = "first-lost";
+  const std::uint32_t group = TopicGroupOf(topic, 100);
+  std::string warm;
+  for (int i = 0; TopicGroupOf(warm, 100) != group || warm.empty(); ++i) {
+    warm = "warm-" + std::to_string(i);
+  }
+  auto warmPub = MakeClient("fl-warm", {});
+  sched.RunFor(kSecond);
+  ASSERT_TRUE(PublishAndWait(*warmPub, warm, Bytes{0}).ok());
+  sched.RunFor(kSecond);
+  std::size_t coord = 3;
+  for (std::size_t i = 0; i < 3; ++i) {
+    if (cluster->node(i).CoordinatesGroup(group)) coord = i;
+  }
+  ASSERT_LT(coord, 3u);
+  const std::size_t victim = (coord + 1) % 3;
+
+  auto pub = MakeClient("fl-pub", coord);
+  auto sub = MakeClient("fl-sub", victim);
+  std::vector<std::uint64_t> seqs;
+  sub->Subscribe(topic, [&](const Message& m) { seqs.push_back(m.seq); });
+  sched.RunFor(kSecond);
+
+  // The topic's first broadcast never reaches the victim; the third server
+  // confirms it, so it is acked. No link-recovery sync runs afterwards.
+  sim::SimNetwork& net = cluster->network();
+  net.Partition(cluster->HostOf(coord), cluster->HostOf(victim));
+  ASSERT_TRUE(PublishAndWait(*pub, topic, Bytes{1}).ok());
+  net.Heal(cluster->HostOf(coord), cluster->HostOf(victim));
+  EXPECT_TRUE(cluster->node(victim).cache().GetAfter(topic, {0, 0}).empty());
+
+  constexpr std::uint64_t kCount = 5;
+  for (std::uint64_t k = 2; k <= kCount; ++k) {
+    ASSERT_TRUE(
+        PublishAndWait(*pub, topic, Bytes{static_cast<std::uint8_t>(k)}).ok());
+  }
+  sched.RunFor(2 * kSecond);
+
+  // Sequence 2 was the victim's first sight of the topic: it backfilled 1
+  // from the coordinator before delivering anything.
+  EXPECT_EQ(cluster->node(victim).cache().GetAfter(topic, {0, 0}).size(), kCount);
+  const std::vector<std::uint64_t> expected{1, 2, 3, 4, 5};
+  EXPECT_EQ(seqs, expected);
+}
+
 }  // namespace
 }  // namespace md::cluster

@@ -83,6 +83,46 @@ TEST(WalFormatTest, Crc32DetectsEverySingleBitFlip) {
   }
 }
 
+TEST(WalFormatTest, Crc32MatchesBytewiseReferenceAtAnyLengthAndAlignment) {
+  // The plain one-table, one-byte-per-step loop the format was defined by.
+  const auto reference = [](BytesView data) {
+    std::uint32_t table[256];
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k) c = (c & 1U) ? 0xEDB88320U ^ (c >> 1) : c >> 1;
+      table[i] = c;
+    }
+    std::uint32_t crc = 0xFFFFFFFFU;
+    for (const std::uint8_t byte : data) crc = table[(crc ^ byte) & 0xFFU] ^ (crc >> 8);
+    return crc ^ 0xFFFFFFFFU;
+  };
+  std::uint64_t state = 0x243F6A8885A308D3ULL;  // fixed seed: reproducible
+  const auto next = [&state] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  Bytes buffer(4096 + 16);
+  for (auto& b : buffer) b = static_cast<std::uint8_t>(next());
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::size_t len = next() % 4097;           // 0..4096
+    const std::size_t offset = next() % 16;          // unaligned starts
+    const BytesView data = View(buffer).subspan(offset, len);
+    ASSERT_EQ(Crc32(data), reference(data))
+        << "len " << len << " offset " << offset;
+  }
+  // Every short length, where only the bytewise tail runs or one 8-byte
+  // step meets the tail.
+  for (std::size_t len = 0; len <= 64; ++len) {
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      const BytesView data = View(buffer).subspan(offset, len);
+      ASSERT_EQ(Crc32(data), reference(data))
+          << "len " << len << " offset " << offset;
+    }
+  }
+}
+
 TEST(WalFormatTest, SegmentFileNameRoundTrips) {
   const std::pair<std::uint32_t, std::uint64_t> cases[] = {
       {0, 0}, {1, 2}, {99, 105}, {4294967295U, 18446744073709551615ULL}};
