@@ -15,6 +15,7 @@
 
 #include "bench_support/engine_model.hpp"
 #include "bench_support/table.hpp"
+#include "common/strutil.hpp"
 #include "core/cache.hpp"
 
 using namespace md;
@@ -39,7 +40,7 @@ double CacheContentionSeconds(std::uint32_t groups, int threads, int perThread) 
       m.epoch = 1;
       // 8 distinct topics per thread spread across groups.
       for (int i = 0; i < perThread; ++i) {
-        m.topic = "t" + std::to_string(t) + "-" + std::to_string(i % 8);
+        m.topic = Format("t%d-%d", t, i % 8);
         m.seq = static_cast<std::uint64_t>(i / 8 + 1);
         m.payload.assign(64, static_cast<std::uint8_t>(i));
         cache.Append(m);

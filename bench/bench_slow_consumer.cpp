@@ -147,10 +147,19 @@ bool RunMode(bool enforced, long clients, long msgs, ModeResult& out) {
   pubLoop.Post([&] { pub.Start(); });
   while (!pub.IsConnected()) std::this_thread::sleep_for(1ms);
 
-  // Paced publish in acked batches: healthy subscribers reading at loopback
-  // speed keep up per batch (the grace must protect them in enforced mode),
-  // while the stalled one accumulates the full volume against its marks.
+  // Paced publish: a batch is acked AND delivered to every healthy
+  // subscriber before the next one leaves, so a healthy subscriber never has
+  // more than one batch outstanding: kBatch x 16 KiB = 256 KiB, half the
+  // enforced hard mark. Acks alone do not pace it: they do not wait for
+  // delivery, and the flood then outruns the one reader loop all healthy
+  // clients share until their queues reach the hard mark. The grace covers a
+  // healthy queue that crosses the soft mark, while the stalled subscriber
+  // accumulates the full volume against its marks. A healthy subscriber
+  // that stops receiving ends the waits at the deadline, and the checks
+  // report the loss.
+  constexpr long kBatch = 16;
   std::atomic<long> acked{0};
+  auto deadline = std::chrono::steady_clock::now() + 120s;
   auto publishBatch = [&](long base, long n) {
     pubLoop.Post([&, base, n] {
       for (long i = base; i < base + n; ++i) {
@@ -161,14 +170,16 @@ bool RunMode(bool enforced, long clients, long msgs, ModeResult& out) {
       }
     });
     while (acked.load() < base + n) std::this_thread::sleep_for(1ms);
+    const auto delivered = static_cast<std::uint64_t>(clients * (base + n));
+    while (healthyReceived.load() < delivered &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(100us);
+    }
   };
 
   // Probe: confirm the stalled client's subscription is live, then stall it.
   publishBatch(0, 1);
   while (stalledReceived.load() < 1) std::this_thread::sleep_for(1ms);
-  while (healthyReceived.load() < static_cast<std::uint64_t>(clients)) {
-    std::this_thread::sleep_for(1ms);
-  }
   std::atomic<bool> paused{false};
   loop.Post([&] {
     stalled->PauseReads(true);
@@ -179,13 +190,9 @@ bool RunMode(bool enforced, long clients, long msgs, ModeResult& out) {
   out.expected = static_cast<std::uint64_t>(clients) *
                  static_cast<std::uint64_t>(msgs + 1);
   const auto floodStart = std::chrono::steady_clock::now();
-  constexpr long kBatch = 50;
+  deadline = floodStart + 120s;
   for (long base = 1; base <= msgs; base += kBatch) {
     publishBatch(base, std::min(kBatch, msgs - base + 1));
-  }
-  while (healthyReceived.load() < out.expected &&
-         std::chrono::steady_clock::now() - floodStart < 120s) {
-    std::this_thread::sleep_for(2ms);
   }
   out.elapsedSec = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - floodStart)

@@ -9,6 +9,13 @@ cd "$(dirname "$0")/.."
 cmake -B build -G Ninja && cmake --build build || exit 1
 ctest --test-dir build 2>&1 | tee test_output.txt
 
+# Release leg: the -O3 tree must compile clean under the default -Werror
+# too. Deeper inlining lets GCC see through the standard containers, and
+# its -Wrestrict / -Wstringop-overflow / -Warray-bounds checks then fire on
+# code the default build compiles silently.
+cmake -B build-release -G Ninja -DCMAKE_BUILD_TYPE=Release \
+  && cmake --build build-release || exit 1
+
 # Chaos harness under ASan: the fault paths (crash teardown, reconnection
 # sync, gap-stall timers) are where lifetime bugs would hide.
 cmake -B build-asan -G Ninja -DMD_SANITIZE=address \

@@ -22,6 +22,7 @@
 #include <set>
 #include <vector>
 
+#include "cluster/client_conn.hpp"
 #include "cluster/node.hpp"
 #include "coord/sim_harness.hpp"
 #include "core/backpressure.hpp"
@@ -75,14 +76,15 @@ class SimCluster {
   explicit SimCluster(sim::Scheduler& sched, Options options)
       : sched_(sched),
         opts_(options),
+        ownedRegistry_(options.metrics == nullptr
+                           ? std::make_unique<obs::MetricsRegistry>()
+                           : nullptr),
+        egress_(options.clientBackpressure,
+                options.metrics != nullptr ? *options.metrics : *ownedRegistry_),
         net_(sched, Rng(options.seed), options.serverLinks),
         clientLoop_(sched, options.clientLinkDelay) {
-    if (opts_.metrics == nullptr) {
-      ownedRegistry_ = std::make_unique<obs::MetricsRegistry>();
-      opts_.metrics = ownedRegistry_.get();
-    }
+    if (opts_.metrics == nullptr) opts_.metrics = ownedRegistry_.get();
     opts_.coordConfig.metrics = opts_.metrics;
-    scm_ = std::make_unique<obs::SlowConsumerMetrics>(*opts_.metrics);
     std::vector<sim::HostId> hosts;
     for (std::size_t i = 0; i < opts_.servers; ++i) {
       hosts.push_back(net_.AddHost("server-" + std::to_string(i + 1)));
@@ -147,13 +149,13 @@ class SimCluster {
   /// quantity the backpressure invariant bounds by the hard watermark.
   [[nodiscard]] std::size_t MaxClientPending(std::size_t i) const {
     std::size_t maxPending = 0;
-    for (const auto& [handle, conn] : servers_.at(i)->connections) {
-      maxPending = std::max(maxPending, conn->PendingBytes());
+    for (const auto& [handle, client] : servers_.at(i)->clients) {
+      maxPending = std::max(maxPending, client->conn->PendingBytes());
     }
     return maxPending;
   }
   [[nodiscard]] const obs::SlowConsumerMetrics& slowConsumerMetrics() const {
-    return *scm_;
+    return egress_.metrics();
   }
 
   // --- faults ----------------------------------------------------------------
@@ -170,9 +172,7 @@ class SimCluster {
     }
     // TCP connections to a dead host break.
     server.listener.reset();
-    auto conns = std::move(server.connections);
-    server.connections.clear();
-    for (auto& [handle, conn] : conns) conn->Close();
+    CloseAll(server);
   }
 
   void RestartServer(std::size_t i) {
@@ -244,11 +244,7 @@ class SimCluster {
     servers_.at(i)->node->Leave([this, i, done = std::move(done)] {
       ServerHost& server = *servers_.at(i);
       server.listener.reset();
-      auto conns = std::move(server.connections);
-      server.connections.clear();
-      server.inbox.clear();
-      server.bp.clear();
-      for (auto& [handle, conn] : conns) conn->Close();
+      CloseAll(server);
       if (done) done();
     });
   }
@@ -282,13 +278,6 @@ class SimCluster {
   }
 
  private:
-  /// Per-client backpressure state (single-strand: scheduler events only).
-  struct ClientState {
-    bool overSoft = false;
-    bool evictTimerArmed = false;
-    bool evicting = false;
-  };
-
   struct ServerHost {
     std::size_t index = 0;
     std::string id;
@@ -299,9 +288,7 @@ class SimCluster {
     std::unique_ptr<ClusterNode> node;
     ListenerPtr listener;
     ClientHandle nextHandle = 1;
-    std::map<ClientHandle, ConnectionPtr> connections;
-    std::map<ClientHandle, std::shared_ptr<ByteQueue>> inbox;
-    std::map<ClientHandle, std::shared_ptr<ClientState>> bp;
+    std::map<ClientHandle, std::shared_ptr<ClientConn>> clients;
   };
 
   class NodeEnv final : public ClusterEnv {
@@ -323,18 +310,19 @@ class SimCluster {
 
     void SendToClient(ClientHandle client, const Frame& frame) override {
       ServerHost& server = *cluster_.servers_[index_];
-      if (!server.connections.contains(client)) return;
+      const auto it = server.clients.find(client);
+      if (it == server.clients.end()) return;
       Bytes wire;
       EncodeFramed(frame, wire);
-      (void)cluster_.SendClientWire(server, client, BytesView(wire));
+      (void)cluster_.egress_.Send(cluster_.clientLoop_, it->second,
+                                  BytesView(wire), nullptr,
+                                  std::holds_alternative<DeliverFrame>(frame));
     }
 
     void CloseClient(ClientHandle client) override {
       ServerHost& server = *cluster_.servers_[index_];
-      auto node = server.connections.extract(client);
-      server.inbox.erase(client);
-      server.bp.erase(client);
-      if (!node.empty()) node.mapped()->Close();
+      auto node = server.clients.extract(client);
+      if (!node.empty()) cluster_.Sever(*node.mapped());
     }
 
     std::uint64_t Schedule(Duration delay, std::function<void()> fn) override {
@@ -363,110 +351,48 @@ class SimCluster {
     server.listener = std::move(*listener);
     server.listener->SetAcceptHandler([this, &server](ConnectionPtr conn) {
       const ClientHandle handle = server.nextHandle++;
-      server.connections[handle] = conn;
-      auto inbox = std::make_shared<ByteQueue>();
-      server.inbox[handle] = inbox;
-      auto state = std::make_shared<ClientState>();
-      server.bp[handle] = state;
-      conn->SetWatermarks(opts_.clientBackpressure.ToWatermarks());
-      conn->SetDrainedHandler([this, state] {
-        if (!state->overSoft) return;
-        state->overSoft = false;
-        scm_->sessionsOverSoft.Add(-1);
-      });
-      conn->SetDataHandler([this, &server, handle, inbox](BytesView data) {
-        inbox->Append(data);
-        while (true) {
-          auto r = ExtractFrame(*inbox);
-          if (!r.status.ok()) {
-            if (auto node = server.connections.extract(handle); !node.empty()) {
-              node.mapped()->Close();
-            }
-            server.inbox.erase(handle);
-            server.node->OnClientDisconnect(handle);
-            return;
-          }
-          if (!r.frame) return;
-          server.node->OnClientFrame(handle, *r.frame);
+      auto client = std::make_shared<ClientConn>();
+      client->handle = handle;
+      client->conn = conn;
+      server.clients[handle] = client;
+      egress_.Attach(client);
+      // The handlers hold the record weakly: it holds the connection, so a
+      // strong capture would leak both when the run ends with it open.
+      const std::weak_ptr<ClientConn> weak = client;
+      conn->SetDataHandler([this, &server, handle, weak](BytesView data) {
+        const auto c = weak.lock();
+        if (!c || c->Receive(data, *server.node)) return;
+        if (auto node = server.clients.extract(handle); !node.empty()) {
+          Sever(*node.mapped());
         }
+        server.node->OnClientDisconnect(handle);
       });
-      conn->SetCloseHandler([this, &server, handle, state] {
-        if (state->overSoft) {
-          state->overSoft = false;
-          scm_->sessionsOverSoft.Add(-1);
-        }
-        server.connections.erase(handle);
-        server.inbox.erase(handle);
-        server.bp.erase(handle);
+      conn->SetCloseHandler([this, &server, handle, weak] {
+        if (const auto c = weak.lock()) egress_.OnClosed(c->egress);
+        server.clients.erase(handle);
         server.node->OnClientDisconnect(handle);
       });
     });
   }
 
-  /// Status-checked client write applying Options::clientBackpressure: a
-  /// soft-accepted kCapacity arms the eviction grace timer; a hard-rejected
-  /// kCapacity (whole frame refused => stream gap) evicts immediately.
-  bool SendClientWire(ServerHost& server, ClientHandle handle, BytesView wire) {
-    const auto connIt = server.connections.find(handle);
-    const auto bpIt = server.bp.find(handle);
-    if (connIt == server.connections.end() || bpIt == server.bp.end()) {
-      return false;
-    }
-    const ConnectionPtr& conn = connIt->second;
-    const std::shared_ptr<ClientState>& state = bpIt->second;
-    if (state->evicting || !conn->IsOpen()) return false;
-    const std::size_t before = conn->PendingBytes();
-    const Status st = conn->Send(wire);
-    if (st.ok()) return true;
-    if (st.code() != ErrorCode::kCapacity) return false;
-    const bool accepted = conn->PendingBytes() > before;
-    if (!state->overSoft) {
-      state->overSoft = true;
-      scm_->softOverflows.Inc();
-      scm_->sessionsOverSoft.Add(1);
-      scm_->queueDepthBytes.Record(
-          static_cast<std::int64_t>(conn->PendingBytes()));
-    }
-    if (!accepted) {
-      EvictSlowClient(server, handle);
-      return false;
-    }
-    if (!state->evictTimerArmed) {
-      state->evictTimerArmed = true;
-      sched_.Schedule(
-          opts_.clientBackpressure.evictGrace, [this, &server, handle, state] {
-            state->evictTimerArmed = false;
-            if (!state->overSoft || state->evicting) return;
-            const auto it = server.connections.find(handle);
-            if (it == server.connections.end() || !it->second->IsOpen()) return;
-            EvictSlowClient(server, handle);
-          });
-    }
-    return true;
+  /// Closes a client the host dropped from its table; its over-soft state is
+  /// settled now, as the record may be gone when the close handler runs.
+  void Sever(ClientConn& client) {
+    egress_.OnClosed(client.egress);
+    client.conn->Close();
   }
 
-  void EvictSlowClient(ServerHost& server, ClientHandle handle) {
-    const auto connIt = server.connections.find(handle);
-    const auto bpIt = server.bp.find(handle);
-    if (connIt == server.connections.end() || bpIt == server.bp.end()) return;
-    if (bpIt->second->evicting) return;
-    bpIt->second->evicting = true;
-    scm_->disconnects.Inc();
-    // Best-effort close notice, then close. The inproc transport delivers
-    // parked bytes before the close, so a paused client that resumes sees
-    // the whole backlog, then the DisconnectFrame, then EOF — same ordering
-    // a real socket gives. The close handler notifies the node.
-    Bytes notice;
-    EncodeFramed(Frame(DisconnectFrame{"slow consumer: send queue overflow"}),
-                 notice);
-    (void)connIt->second->Send(BytesView(notice));
-    connIt->second->CloseAfterFlush();
+  /// Severs every client connection of `server` (its host went away).
+  void CloseAll(ServerHost& server) {
+    auto clients = std::move(server.clients);
+    server.clients.clear();
+    for (auto& [handle, client] : clients) Sever(*client);
   }
 
   sim::Scheduler& sched_;
   Options opts_;
   std::unique_ptr<obs::MetricsRegistry> ownedRegistry_;
-  std::unique_ptr<obs::SlowConsumerMetrics> scm_;
+  core::ClientEgress egress_;  // Options::clientBackpressure, every client
   sim::SimNetwork net_;
   InprocLoop clientLoop_;
   std::unique_ptr<coord::SimCoordCluster> coordCluster_;

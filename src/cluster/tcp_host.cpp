@@ -32,7 +32,8 @@ class TcpClusterHost::NodeEnv final : public ClusterEnv {
     Observe(client, frame);
     Bytes wire;
     EncodeFramed(frame, wire);
-    (void)host_.SendClientWire(client, it->second, BytesView(wire));
+    (void)host_.egress_.Send(*host_.loop_, it->second, BytesView(wire), nullptr,
+                             std::holds_alternative<DeliverFrame>(frame));
   }
 
   void SendToClients(const std::vector<ClientHandle>& clients,
@@ -42,6 +43,7 @@ class TcpClusterHost::NodeEnv final : public ClusterEnv {
     // encode and zero per-subscriber copies. Each write still goes through
     // the watermark-checked path, so one stalled subscriber in the batch
     // cannot buffer the host to death.
+    const bool deliverClass = std::holds_alternative<DeliverFrame>(frame);
     std::shared_ptr<Bytes> wire;
     for (const ClientHandle client : clients) {
       const auto it = host_.clients_.find(client);
@@ -52,7 +54,8 @@ class TcpClusterHost::NodeEnv final : public ClusterEnv {
         EncodeFramed(frame, *wire);
       }
       const std::shared_ptr<const Bytes> shared = wire;
-      (void)host_.SendClientWire(client, it->second, BytesView(*wire), &shared);
+      (void)host_.egress_.Send(*host_.loop_, it->second, BytesView(*wire),
+                               &shared, deliverClass);
     }
   }
 
@@ -121,12 +124,11 @@ obs::MetricsRegistry& RegistryOf(const TcpHostConfig& cfg) {
 
 TcpClusterHost::TcpClusterHost(TcpHostConfig cfg)
     : cfg_(std::move(cfg)),
-      scm_(RegistryOf(cfg_), obs::ServerLabel(cfg_.serverId)),
-      tm_(RegistryOf(cfg_), obs::ServerLabel(cfg_.serverId)) {
-  if (cfg_.runtimeVerify) {
-    if (cfg_.verifyConfig.scope.empty()) cfg_.verifyConfig.scope = cfg_.serverId;
-    monitor_ = std::make_unique<verify::Monitor>(RegistryOf(cfg_), cfg_.verifyConfig);
-  }
+      tm_(RegistryOf(cfg_), obs::ServerLabel(cfg_.serverId)),
+      monitor_(verify::MakeHostMonitor(cfg_.runtimeVerify, RegistryOf(cfg_),
+                                       cfg_.verifyConfig, cfg_.serverId)),
+      egress_(cfg_.clientBackpressure, RegistryOf(cfg_),
+              obs::ServerLabel(cfg_.serverId), monitor_.get()) {
   loop_ = CreateNetLoop(cfg_.eventLoop);
   loop_->SetMetrics(&tm_);
   nodeEnv_ = std::make_unique<NodeEnv>(*this, cfg_.seed);
@@ -157,6 +159,11 @@ void TcpClusterHost::SetPeers(std::vector<TcpPeerAddress> peers) {
 }
 
 Status TcpClusterHost::Start() {
+  if (cfg_.clientBackpressure.policy == core::OverflowPolicy::kConflate) {
+    return Err(ErrorCode::kInvalidArgument,
+               "kConflate needs core::Server's Conflator; cluster hosts run "
+               "kDisconnect or kDropNewest");
+  }
   if (running_.exchange(true)) return Err(ErrorCode::kAlreadyExists, "running");
   if (Status s = Bind(); !s.ok()) {
     running_.store(false);
@@ -246,35 +253,19 @@ void TcpClusterHost::WithCoord(const std::function<void(coord::CoordNode&)>& fn)
 void TcpClusterHost::OnClientAccept(ConnectionPtr conn) {
   const ClientHandle handle = nextHandle_++;
   auto client = std::make_shared<ClientConn>();
+  client->handle = handle;
   client->conn = conn;
   clients_[handle] = client;
-
-  conn->SetWatermarks(cfg_.clientBackpressure.ToWatermarks());
-  conn->SetDrainedHandler([this, client] {
-    if (!client->overSoft) return;
-    client->overSoft = false;
-    scm_.sessionsOverSoft.Add(-1);
-  });
+  egress_.Attach(client);
 
   conn->SetDataHandler([this, handle, client](BytesView data) {
-    client->in.Append(data);
-    while (true) {
-      auto r = ExtractFrame(client->in);
-      if (!r.status.ok()) {
-        client->conn->Close();
-        clients_.erase(handle);
-        node_->OnClientDisconnect(handle);
-        return;
-      }
-      if (!r.frame) return;
-      node_->OnClientFrame(handle, *r.frame);
-    }
+    if (client->Receive(data, *node_)) return;
+    client->conn->Close();
+    clients_.erase(handle);
+    node_->OnClientDisconnect(handle);
   });
   conn->SetCloseHandler([this, handle, client] {
-    if (client->overSoft) {
-      client->overSoft = false;
-      scm_.sessionsOverSoft.Add(-1);
-    }
+    egress_.OnClosed(client->egress);
     clients_.erase(handle);
     node_->OnClientDisconnect(handle);
   });
@@ -475,64 +466,6 @@ void TcpClusterHost::SendCoordMsg(coord::NodeId to, const coord::CoordMsg& msg) 
   }
   if (link.backlog.size() < kMaxBacklogFrames) link.backlog.push_back(std::move(wire));
   EnsureCoordLink(to);
-}
-
-bool TcpClusterHost::SendClientWire(ClientHandle handle,
-                                    const std::shared_ptr<ClientConn>& client,
-                                    BytesView wire,
-                                    const std::shared_ptr<const Bytes>* shared) {
-  if (client->evicting || !client->conn->IsOpen()) return false;
-  const std::size_t before = client->conn->PendingBytes();
-  const Status st =
-      shared != nullptr ? client->conn->Send(*shared) : client->conn->Send(wire);
-  if (st.ok()) return true;
-  if (st.code() != ErrorCode::kCapacity) return false;
-  // kCapacity: bytes were accepted iff PendingBytes moved (soft overflow);
-  // otherwise the whole frame was rejected at the hard mark.
-  const bool accepted = client->conn->PendingBytes() > before;
-  if (!client->overSoft) {
-    client->overSoft = true;
-    scm_.softOverflows.Inc();
-    scm_.sessionsOverSoft.Add(1);
-    scm_.queueDepthBytes.Record(
-        static_cast<std::int64_t>(client->conn->PendingBytes()));
-  }
-  if (monitor_) {
-    monitor_->OnBackpressure(handle, client->conn->PendingBytes(),
-                             cfg_.clientBackpressure.hardWatermark);
-  }
-  if (!accepted) {
-    // The stream now has a gap; eviction forces the reconnect + resume path,
-    // which backfills everything the client missed.
-    EvictSlowClient(handle, client);
-    return false;
-  }
-  if (!client->evictTimerArmed) {
-    client->evictTimerArmed = true;
-    loop_->ScheduleTimer(
-        cfg_.clientBackpressure.evictGrace, [this, handle, client] {
-          client->evictTimerArmed = false;
-          if (client->overSoft && !client->evicting && client->conn->IsOpen()) {
-            EvictSlowClient(handle, client);
-          }
-        });
-  }
-  return true;
-}
-
-void TcpClusterHost::EvictSlowClient(ClientHandle handle,
-                                     const std::shared_ptr<ClientConn>& client) {
-  if (client->evicting) return;
-  client->evicting = true;
-  scm_.disconnects.Inc();
-  MD_INFO("%s: evicting slow client %llu (%zu bytes pending)",
-          cfg_.serverId.c_str(), static_cast<unsigned long long>(handle),
-          client->conn->PendingBytes());
-  Bytes notice;
-  EncodeFramed(Frame(DisconnectFrame{"slow consumer: send queue overflow"}),
-               notice);
-  (void)client->conn->Send(BytesView(notice));
-  client->conn->CloseAfterFlush();
 }
 
 void TcpClusterHost::RetryLinks() {

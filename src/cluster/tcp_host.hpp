@@ -23,6 +23,7 @@
 #include <span>
 #include <thread>
 
+#include "cluster/client_conn.hpp"
 #include "cluster/node.hpp"
 #include "coord/codec.hpp"
 #include "coord/node.hpp"
@@ -56,7 +57,8 @@ struct TcpHostConfig {
   /// Slow-consumer policy for client connections. Peer/coord links keep the
   /// transport defaults (effectively unbounded): dropping replication traffic
   /// to a peer would violate the cluster's delivery guarantees — peers are
-  /// governed by the backlog cap + cache sync instead.
+  /// governed by the backlog cap + cache sync instead. kConflate needs
+  /// core::Server's Conflator: Start() refuses it.
   core::BackpressureConfig clientBackpressure;
   /// Embed a verify::Monitor observing the loop-thread client sends and
   /// send-queue depths (DESIGN.md §11); exports through the cluster registry.
@@ -101,15 +103,6 @@ class TcpClusterHost {
   [[nodiscard]] verify::Monitor* monitor() noexcept { return monitor_.get(); }
 
  private:
-  struct ClientConn {
-    ConnectionPtr conn;
-    ByteQueue in;
-    // Backpressure state (loop-thread only).
-    bool overSoft = false;
-    bool evictTimerArmed = false;
-    bool evicting = false;
-  };
-
   struct PeerLink {
     ConnectionPtr conn;          // established link (either direction)
     bool connecting = false;
@@ -137,23 +130,13 @@ class TcpClusterHost {
   void SendToPeers(std::span<const std::string> serverIds, const Frame& frame);
   void SendCoordMsg(coord::NodeId to, const coord::CoordMsg& msg);
   void RetryLinks();
-  /// Status-checked client write applying `clientBackpressure` (loop thread):
-  /// soft-accepted kCapacity arms the eviction grace timer, hard-rejected
-  /// kCapacity (frame lost => stream gap) evicts immediately. When `shared`
-  /// is non-null the bytes go out zero-copy (one encode shared across the
-  /// fan-out); `wire` must view the same buffer either way.
-  bool SendClientWire(ClientHandle handle,
-                      const std::shared_ptr<ClientConn>& client, BytesView wire,
-                      const std::shared_ptr<const Bytes>* shared = nullptr);
-  void EvictSlowClient(ClientHandle handle,
-                       const std::shared_ptr<ClientConn>& client);
   [[nodiscard]] const TcpPeerAddress* PeerById(const std::string& serverId) const;
   [[nodiscard]] const TcpPeerAddress* PeerByNode(coord::NodeId nodeId) const;
 
   TcpHostConfig cfg_;
-  obs::SlowConsumerMetrics scm_;
   obs::TransportMetrics tm_;  // this host's loop; outlives loop_
   std::unique_ptr<verify::Monitor> monitor_;
+  core::ClientEgress egress_;  // clientBackpressure for every client write
   std::unique_ptr<NetLoop> loop_;
   std::thread thread_;
   std::atomic<bool> running_{false};

@@ -28,6 +28,13 @@ inline std::string_view AsStringView(BytesView b) noexcept {
   return {reinterpret_cast<const char*>(b.data()), b.size()};
 }
 
+/// Makes room for `extra` more bytes in `out`, growing geometrically so a
+/// buffer that many encodes append to keeps amortized O(1) appends.
+inline void ReserveForAppend(Bytes& out, std::size_t extra) {
+  const std::size_t need = out.size() + extra;
+  if (need > out.capacity()) out.reserve(std::max(need, 2 * out.capacity()));
+}
+
 /// Appends fixed-width little-endian integers, varints and length-prefixed
 /// blobs to a byte vector.
 class ByteWriter {
@@ -71,6 +78,7 @@ class ByteWriter {
   void WriteLittleEndian(std::uint64_t v) {
     std::uint8_t bytes[N];
     for (int i = 0; i < N; ++i) bytes[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    ReserveForAppend(out_, N);
     out_.insert(out_.end(), bytes, bytes + N);
   }
 
@@ -108,13 +116,6 @@ class ByteSizer {
  private:
   std::size_t size_ = 0;
 };
-
-/// Makes room for `extra` more bytes in `out`, growing geometrically so a
-/// buffer that many encodes append to keeps amortized O(1) appends.
-inline void ReserveForAppend(Bytes& out, std::size_t extra) {
-  const std::size_t need = out.size() + extra;
-  if (need > out.capacity()) out.reserve(std::max(need, 2 * out.capacity()));
-}
 
 /// Cursor over immutable bytes; every read checks bounds.
 class ByteReader {
@@ -212,7 +213,10 @@ class ByteReader {
 /// front-consumption by tracking a read offset and compacting lazily.
 class ByteQueue {
  public:
-  void Append(BytesView data) { buf_.insert(buf_.end(), data.begin(), data.end()); }
+  void Append(BytesView data) {
+    ReserveForAppend(buf_, data.size());
+    buf_.insert(buf_.end(), data.begin(), data.end());
+  }
   void Append(std::string_view data) { Append(AsBytes(data)); }
 
   [[nodiscard]] BytesView Peek() const noexcept {

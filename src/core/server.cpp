@@ -41,9 +41,15 @@ Server::Server(ServerConfig cfg)
                                        : obs::MetricsRegistry::Default()),
       m_(metrics_, obs::ServerLabel(cfg_.serverId)),
       tm_(metrics_),
-      scm_(metrics_, obs::ServerLabel(cfg_.serverId)),
       wm_(metrics_, obs::ServerLabel(cfg_.serverId)),
       tracer_(metrics_, [] { return RealClock::Instance().Now(); }, "wall"),
+      // The monitor's families register only with runtimeVerify: a server
+      // without it keeps its exposition schema (and the checked-in goldens)
+      // byte-stable.
+      monitor_(verify::MakeHostMonitor(cfg_.runtimeVerify, metrics_,
+                                       cfg_.verifyConfig, cfg_.serverId)),
+      egress_(cfg_.backpressure, metrics_, obs::ServerLabel(cfg_.serverId),
+              monitor_.get()),
       cache_(cfg_.cache) {
   // Pre-register the full schema so GET /metrics exposes every family from
   // the first scrape, not just the ones that have seen traffic.
@@ -54,12 +60,7 @@ Server::Server(ServerConfig cfg)
     wal_ = std::make_unique<wal::Log>(wal::PosixEnv::Instance(), cfg_.wal, &wm_);
     cache_.AttachWal(wal_.get());
   }
-  if (cfg_.runtimeVerify) {
-    // The monitor's families register here, not in RegisterStandardFamilies:
-    // a server without runtimeVerify keeps its exposition schema (and the
-    // checked-in goldens) byte-stable.
-    if (cfg_.verifyConfig.scope.empty()) cfg_.verifyConfig.scope = cfg_.serverId;
-    monitor_ = std::make_unique<verify::Monitor>(metrics_, cfg_.verifyConfig);
+  if (monitor_) {
     tracer_.SetStageSink([m = monitor_.get()](const obs::TraceKey& key,
                                               obs::Stage stage) {
       m->OnStage(key, stage);
@@ -114,17 +115,25 @@ Status Server::Start() {
     });
   }
 
+  // The IoThreads' listeners share one port through SO_REUSEPORT, which
+  // would as silently share it with another process's group: an exclusive
+  // probe bind first makes a port someone else holds fail loudly.
+  const auto port = ProbeExclusivePort(boundPort_ != 0 ? boundPort_ : cfg_.port);
+  if (!port.ok()) {
+    running_.store(false);
+    return port.status();
+  }
+  boundPort_ = *port;
   for (int i = 0; i < cfg_.ioThreads; ++i) {
     auto io = std::make_unique<IoThread>();
     io->loop = CreateNetLoop(cfg_.eventLoop);
     io->loop->SetMetrics(&tm_);
-    auto listener = io->loop->Listen(boundPort_ != 0 ? boundPort_ : cfg_.port);
+    auto listener = io->loop->ListenShared(boundPort_);
     if (!listener.ok()) {
       running_.store(false);
       return listener.status();
     }
     io->listener = std::move(*listener);
-    boundPort_ = io->listener->Port();
     const std::size_t index = static_cast<std::size_t>(i);
     io->listener->SetAcceptHandler(
         [this, index](ConnectionPtr conn) { OnAccept(index, std::move(conn)); });
@@ -208,21 +217,12 @@ void Server::OnAccept(std::size_t ioIndex, ConnectionPtr conn) {
   session->workerIndex = MixU64(session->handle) % workers_.size();
   session->conn = std::move(conn);
   session->loop = ioThreads_[ioIndex]->loop.get();
-  session->conn->SetWatermarks(cfg_.backpressure.ToWatermarks());
-  // Low-watermark recovery: the connection drained below wm.low after a
-  // soft excursion — the session is healthy again (IoThread callback).
-  session->conn->SetDrainedHandler(
-      [this, weak = std::weak_ptr<Session>(session)] {
-        auto s = weak.lock();
-        if (!s || !s->overSoft) return;
-        s->overSoft = false;
-        scm_.sessionsOverSoft.Add(-1);
-      });
+  egress_.Attach(session);
   if (cfg_.enableBatching) {
     session->batcher = std::make_unique<Batcher>(
         cfg_.batch, [this, weak = std::weak_ptr<Session>(session)](BytesView data) {
           if (auto s = weak.lock()) {
-            (void)SendOnLoop(s, data, /*deliverClass=*/false);
+            (void)SendOnLoop(s, data);
           }
         });
   }
@@ -322,7 +322,7 @@ void Server::ParseFrames(const SessionPtr& session) {
     }
     if (!hs.handshake) return;  // need more bytes
     const std::string response = ws::BuildServerHandshakeResponse(hs.handshake->key);
-    (void)SendOnLoop(session, AsBytes(response), /*deliverClass=*/false);
+    (void)SendOnLoop(session, AsBytes(response));
     setMode(Mode::kWs);
   }
 
@@ -334,7 +334,7 @@ void Server::ParseFrames(const SessionPtr& session) {
     }
     if (!req.complete) return;
     const std::string response = http::BuildStreamResponse();
-    (void)SendOnLoop(session, AsBytes(response), /*deliverClass=*/false);
+    (void)SendOnLoop(session, AsBytes(response));
     setMode(Mode::kHttp);
   }
 
@@ -362,7 +362,7 @@ void Server::ParseFrames(const SessionPtr& session) {
           // responsive client is never dropped for another session's backlog.
           Bytes pong;
           ws::EncodeWsFrame(ws::Opcode::kPong, BytesView(r.frame->payload), pong);
-          (void)SendOnLoop(session, BytesView(pong), /*deliverClass=*/false);
+          (void)SendOnLoop(session, BytesView(pong));
           continue;
         }
         case ws::Opcode::kClose:
@@ -425,7 +425,7 @@ void Server::ServeMetrics(const SessionPtr& session) {
       "Connection: close\r\n"
       "\r\n";
   response += body;
-  (void)SendOnLoop(session, AsBytes(response), /*deliverClass=*/false);
+  (void)SendOnLoop(session, AsBytes(response));
   session->conn->CloseAfterFlush();
 }
 
@@ -459,7 +459,7 @@ void Server::ServeInject(const SessionPtr& session, std::string_view path) {
                          "Connection: close\r\n"
                          "\r\n" +
                          body;
-  (void)SendOnLoop(session, AsBytes(response), /*deliverClass=*/false);
+  (void)SendOnLoop(session, AsBytes(response));
   session->conn->CloseAfterFlush();
 }
 
@@ -474,10 +474,7 @@ void Server::FailSession(const SessionPtr& session, const Status& status) {
 void Server::OnClosed(const SessionPtr& session) {
   if (!session->open.exchange(false)) return;
   m_.active.Add(-1);
-  if (session->overSoft) {  // close handler runs on the session's IoThread
-    session->overSoft = false;
-    scm_.sessionsOverSoft.Add(-1);
-  }
+  egress_.OnClosed(session->egress);  // close handler: on the IoThread
   // Let the session's Worker clean up subscriptions in order with any frames
   // still queued ahead.
   Worker& worker = *workers_[session->workerIndex];
@@ -681,10 +678,10 @@ void Server::FanOutBatched(std::vector<std::vector<SessionPtr>>&& byIo,
       bool stamped = false;
       for (const SessionPtr& s : targets) {
         if (!s->open.load(std::memory_order_relaxed)) continue;
-        if (sharedMsg && s->overSoft && s->conflator) {
+        if (sharedMsg && s->egress.overSoft && s->conflator) {
           // kConflate overflow policy: while this session is over its soft
           // watermark it gets the newest value per topic, not the backlog.
-          scm_.conflated.Inc();
+          egress_.metrics().conflated.Inc();
           OfferConflatedOnLoop(s, *sharedMsg);
           continue;
         }
@@ -767,8 +764,8 @@ void Server::SendEncoded(const SessionPtr& session,
       if (trace) tracer_.Discard(*trace);
       return;
     }
-    if (msgForConflate && session->overSoft && session->conflator) {
-      scm_.conflated.Inc();
+    if (msgForConflate && session->egress.overSoft && session->conflator) {
+      egress_.metrics().conflated.Inc();
       OfferConflatedOnLoop(session, *msgForConflate);
       if (trace) tracer_.Discard(*trace);
       return;
@@ -783,11 +780,7 @@ void Server::WriteOut(const SessionPtr& session, BytesView wire,
   if (session->batcher) {
     // kDropNewest sheds a deliver-class frame before it enters the batcher —
     // the same point a direct write would have dropped it.
-    if (deliverClass && session->overSoft &&
-        cfg_.backpressure.policy == OverflowPolicy::kDropNewest) {
-      scm_.dropped.Inc();
-      return;
-    }
+    if (egress_.ShedNewest(session->egress, deliverClass)) return;
     session->batcher->Enqueue(wire, session->loop->Now());
     if (!session->flushTimerArmed && session->batcher->PendingBytes() > 0) {
       session->flushTimerArmed = true;
@@ -795,7 +788,7 @@ void Server::WriteOut(const SessionPtr& session, BytesView wire,
                                    [this, session] { FlushBatch(session); });
     }
   } else {
-    (void)SendOnLoop(session, wire, deliverClass);
+    (void)SendOnLoop(session, wire, nullptr, deliverClass);
   }
 }
 
@@ -808,106 +801,32 @@ void Server::WriteOutShared(const SessionPtr& session,
     WriteOut(session, BytesView(*wire), deliverClass);
     return;
   }
-  (void)SendOnLoopShared(session, wire, deliverClass);
+  (void)SendOnLoop(session, BytesView(*wire), &wire, deliverClass);
 }
 
 bool Server::SendOnLoop(const SessionPtr& session, BytesView wire,
+                        const std::shared_ptr<const Bytes>* shared,
                         bool deliverClass) {
-  return SendBytesOnLoop(session, wire, nullptr, deliverClass);
-}
-
-bool Server::SendOnLoopShared(const SessionPtr& session,
-                              const std::shared_ptr<const Bytes>& wire,
-                              bool deliverClass) {
-  return SendBytesOnLoop(session, BytesView(*wire), &wire, deliverClass);
-}
-
-bool Server::SendBytesOnLoop(const SessionPtr& session, BytesView view,
-                             const std::shared_ptr<const Bytes>* shared,
-                             bool deliverClass) {
-  if (session->evicting || !session->conn->IsOpen()) return false;
-  if (deliverClass && session->overSoft &&
-      cfg_.backpressure.policy == OverflowPolicy::kDropNewest) {
-    scm_.dropped.Inc();
+  if (!egress_.Send(*session->loop, session, wire, shared, deliverClass)) {
     return false;
   }
-  const std::size_t before = session->conn->PendingBytes();
-  const Status st = shared != nullptr ? session->conn->Send(*shared)
-                                      : session->conn->Send(view);
-  if (st.ok()) {
-    m_.bytesOut.Inc(view.size());
-    return true;
-  }
-  if (st.code() != ErrorCode::kCapacity) return false;  // closed under us
-  // kCapacity is ambiguous by design: over-soft Sends accept the bytes, over-
-  // hard Sends reject the whole frame. PendingBytes moved iff accepted
-  // (deterministic — we are on the connection's IoThread).
-  const bool accepted = session->conn->PendingBytes() > before;
-  if (accepted) m_.bytesOut.Inc(view.size());
-  if (!session->overSoft) {
-    session->overSoft = true;
-    scm_.softOverflows.Inc();
-    scm_.sessionsOverSoft.Add(1);
-  }
-  // Sample depth on every over-soft send (already the slow path): the
-  // histogram's max is the peak backlog any session ever pinned, which is
-  // what the hard watermark bounds.
-  scm_.queueDepthBytes.Record(
-      static_cast<std::int64_t>(session->conn->PendingBytes()));
-  if (monitor_) {
-    monitor_->OnBackpressure(session->handle, session->conn->PendingBytes(),
-                             cfg_.backpressure.hardWatermark);
-  }
-  if (cfg_.backpressure.policy == OverflowPolicy::kDisconnect) {
-    if (!accepted) {
-      // Hard reject under kDisconnect: the frame is lost and the stream has a
-      // gap, so the only correct continuation is eviction — an at-least-once
-      // client reconnects and backfills past the gap.
-      EvictSlowConsumer(session);
-    } else if (!session->evictTimerArmed) {
-      // Grace before eviction: a healthy client absorbing a burst (e.g. its
-      // own resume backfill) drains below the low watermark within the grace
-      // and survives; a stalled one is still over soft when the timer fires.
-      session->evictTimerArmed = true;
-      session->loop->ScheduleTimer(
-          cfg_.backpressure.evictGrace, [this, session] {
-            session->evictTimerArmed = false;
-            if (session->overSoft && !session->evicting &&
-                session->open.load(std::memory_order_relaxed)) {
-              EvictSlowConsumer(session);
-            }
-          });
-    }
-  } else if (!accepted) {
-    scm_.dropped.Inc();  // kConflate/kDropNewest past the hard mark: shed
-  }
-  return accepted;
+  m_.bytesOut.Inc(wire.size());
+  return true;
 }
 
-void Server::EvictSlowConsumer(const SessionPtr& session) {
-  if (session->evicting) return;
-  session->evicting = true;
-  scm_.disconnects.Inc();
-  MD_INFO("evicting slow consumer %llu (%s): %zu bytes pending",
-          static_cast<unsigned long long>(session->handle),
-          session->conn->PeerName().c_str(), session->conn->PendingBytes());
-  // Best-effort close notice so a client that is merely slow (not dead)
-  // learns this was a policy eviction, then a flush-bounded close. Encoded
-  // per transport flavour: a WS endpoint must see a proper Close frame
-  // (1013 "try again later"), not a mid-stream TCP reset.
-  Bytes notice;
-  if (session->CurrentMode() == Session::Mode::kWs) {
+void Session::EncodeEvictNotice(Bytes& out) const {
+  // A WS endpoint must see a proper Close frame (1013 "try again later"),
+  // not a mid-stream TCP reset.
+  if (CurrentMode() == Mode::kWs) {
     Bytes payload{static_cast<std::uint8_t>(ws::kClosePolicyTryAgainLater >> 8),
                   static_cast<std::uint8_t>(ws::kClosePolicyTryAgainLater)};
     static constexpr std::string_view kReason = "slow consumer";
     payload.insert(payload.end(), kReason.begin(), kReason.end());
-    ws::EncodeWsFrame(ws::Opcode::kClose, BytesView(payload), notice);
+    ws::EncodeWsFrame(ws::Opcode::kClose, BytesView(payload), out);
   } else {
     EncodeForMode(Frame(DisconnectFrame{"slow consumer: send queue overflow"}),
-                  static_cast<std::uint8_t>(session->CurrentMode()), notice);
+                  static_cast<std::uint8_t>(CurrentMode()), out);
   }
-  (void)session->conn->Send(BytesView(notice));
-  session->conn->CloseAfterFlush();
 }
 
 void Server::SendDeliverConflated(const SessionPtr& session,

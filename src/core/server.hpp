@@ -219,32 +219,21 @@ class Server {
   void WriteOutShared(const SessionPtr& session,
                       const std::shared_ptr<const Bytes>& wire,
                       bool deliverClass);
-  /// The one place connection->Send() is called (IoThread only). Applies the
-  /// overflow policy on a kCapacity result: distinguishes soft-accepted from
-  /// hard-rejected via PendingBytes(), counts metrics, and arms the eviction
-  /// grace timer / drops the frame per ServerConfig::backpressure. Returns
-  /// whether the bytes were accepted into the connection.
-  bool SendOnLoop(const SessionPtr& session, BytesView wire, bool deliverClass);
-  bool SendOnLoopShared(const SessionPtr& session,
-                        const std::shared_ptr<const Bytes>& wire,
-                        bool deliverClass);
-  /// Common policy core of the two SendOnLoop flavours: `shared` non-null
-  /// selects the refcounted connection Send.
-  bool SendBytesOnLoop(const SessionPtr& session, BytesView view,
-                       const std::shared_ptr<const Bytes>* shared,
-                       bool deliverClass);
-  /// Sends a policy close notice (WS Close 1013 or DisconnectFrame), then
-  /// CloseAfterFlush() so the notice reaches clients that are still reading.
-  void EvictSlowConsumer(const SessionPtr& session);
+  /// The one place connection->Send() is called (IoThread only): the write
+  /// goes through egress_ (overflow policy) and counts bytesOut if accepted.
+  /// `shared` non-null selects the refcounted connection Send.
+  bool SendOnLoop(const SessionPtr& session, BytesView wire,
+                  const std::shared_ptr<const Bytes>* shared = nullptr,
+                  bool deliverClass = false);
 
   ServerConfig cfg_;
   obs::MetricsRegistry& metrics_;
   obs::CoreMetrics m_;
   obs::TransportMetrics tm_;
-  obs::SlowConsumerMetrics scm_;
   obs::WalMetrics wm_;
   obs::Tracer tracer_;
   std::unique_ptr<verify::Monitor> monitor_;
+  ClientEgress egress_;  // slow-consumer policy for every session
   std::unique_ptr<wal::Log> wal_;
   wal::RecoveryStats walRecovery_;
   std::thread walFlusher_;             // group-commit policy only

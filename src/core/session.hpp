@@ -23,6 +23,7 @@
 #include "common/bytes.hpp"
 #include "common/hash.hpp"
 #include "common/slab.hpp"
+#include "core/backpressure.hpp"
 #include "core/batcher.hpp"
 #include "core/registry.hpp"
 #include "transport/transport.hpp"
@@ -63,11 +64,12 @@ struct Session : std::enable_shared_from_this<Session> {
   std::unique_ptr<Conflator> conflator;
   bool conflateTimerArmed = false;
 
-  // Backpressure state, owned by the session's IoThread (set on a kCapacity
-  // Send result, cleared by the connection's drained callback).
-  bool overSoft = false;
-  bool evictTimerArmed = false;
-  bool evicting = false;
+  // Slow-consumer state, kept by the server's ClientEgress on this
+  // session's IoThread.
+  EgressState egress;
+  /// ClientEgress's eviction notice in this session's flavour: a WebSocket
+  /// Close 1013 on WS sessions, a DISCONNECT frame otherwise.
+  void EncodeEvictNotice(Bytes& out) const;
 
   std::atomic<bool> open{true};
 };

@@ -526,7 +526,15 @@ int EpollLoop::NextTimeoutMillis() const {
 }
 
 Result<ListenerPtr> EpollLoop::Listen(std::uint16_t port) {
-  auto sock = net::CreateListenSocket(port);
+  return ListenOn(port, /*reusePort=*/false);
+}
+
+Result<ListenerPtr> EpollLoop::ListenShared(std::uint16_t port) {
+  return ListenOn(port, /*reusePort=*/true);
+}
+
+Result<ListenerPtr> EpollLoop::ListenOn(std::uint16_t port, bool reusePort) {
+  auto sock = net::CreateListenSocket(port, reusePort);
   if (!sock.ok()) return sock.status();
   auto listener = std::make_unique<detail::TcpListener>(*this, sock->fd, sock->port);
   Register(sock->fd, EPOLLIN);

@@ -128,6 +128,7 @@ class EpollLoop final : public NetLoop {
   void CancelTimer(std::uint64_t id) override;
   [[nodiscard]] TimePoint Now() const override;
   Result<ListenerPtr> Listen(std::uint16_t port) override;
+  Result<ListenerPtr> ListenShared(std::uint16_t port) override;
   void Connect(const std::string& host, std::uint16_t port,
                ConnectCallback cb) override;
 
@@ -171,6 +172,7 @@ class EpollLoop final : public NetLoop {
     }
   };
 
+  Result<ListenerPtr> ListenOn(std::uint16_t port, bool reusePort);
   void DrainPostedTasks();
   void FireDueTimers();
   void FlushPending();

@@ -15,6 +15,7 @@
 #include "common/logging.hpp"
 #include "common/strutil.hpp"
 #include "transport/epoll_loop.hpp"
+#include "transport/net_util.hpp"
 #include "transport/transport.hpp"
 #include "transport/uring_loop.hpp"
 
@@ -115,6 +116,13 @@ std::unique_ptr<NetLoop> CreateNetLoop(LoopKind kind) {
     return std::make_unique<EpollLoop>();
   }
   return std::make_unique<EpollLoop>();
+}
+
+Result<std::uint16_t> ProbeExclusivePort(std::uint16_t port) {
+  auto sock = net::CreateListenSocket(port, /*reusePort=*/false);
+  if (!sock.ok()) return sock.status();
+  ::close(sock->fd);
+  return sock->port;
 }
 
 }  // namespace md

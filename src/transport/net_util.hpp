@@ -50,7 +50,10 @@ struct ListenSocket {
   std::uint16_t port = 0;
 };
 
+/// `reusePort` sets SO_REUSEPORT (NetLoop::ListenShared); without it the
+/// bind fails on a port any other socket holds.
 inline Result<ListenSocket> CreateListenSocket(std::uint16_t port,
+                                               bool reusePort,
                                                bool nonBlocking = true) {
   const int fd = ::socket(
       AF_INET, SOCK_STREAM | (nonBlocking ? SOCK_NONBLOCK : 0) | SOCK_CLOEXEC,
@@ -61,7 +64,7 @@ inline Result<ListenSocket> CreateListenSocket(std::uint16_t port,
   // SO_REUSEPORT lets every IoThread bind its own listener on the same port;
   // the kernel spreads incoming connections across them (paper §4: clients
   // are equally partitioned among the IoThreads).
-  setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one));
+  if (reusePort) setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one));
 
   sockaddr_in addr{};
   addr.sin_family = AF_INET;

@@ -155,7 +155,9 @@ class EventLoop {
 
   [[nodiscard]] virtual TimePoint Now() const = 0;
 
-  /// Opens a listening socket on `port` (0 = ephemeral).
+  /// Opens a listening socket on `port` (0 = ephemeral). On the real
+  /// network the port is exclusive: a port any other socket holds fails to
+  /// bind.
   virtual Result<ListenerPtr> Listen(std::uint16_t port) = 0;
 
   /// Asynchronously connect to host:port; callback fires on the loop thread.
@@ -174,6 +176,12 @@ class NetLoop : public EventLoop {
   virtual void PostBatch(std::vector<TaskFn> tasks) {
     for (auto& task : tasks) Post(std::move(task));
   }
+
+  /// Listen with SO_REUSEPORT: one process's loops each bind their own
+  /// listener on one port and the kernel spreads connections across them.
+  /// Only such an in-process group uses it; probe the port first with
+  /// ProbeExclusivePort, or the group silently joins another process's.
+  virtual Result<ListenerPtr> ListenShared(std::uint16_t port) = 0;
 
   /// Optional instrumentation (wakeups, bytes, syscalls, queue depth). The
   /// bundle must outlive the loop; call before Run(). nullptr disables.
@@ -205,5 +213,9 @@ enum class LoopKind : std::uint8_t { kEpoll, kIoUring };
 /// Creates the requested backend, falling back to epoll (with a warning)
 /// when io_uring is requested but the kernel can't run it.
 [[nodiscard]] std::unique_ptr<NetLoop> CreateNetLoop(LoopKind kind);
+
+/// Binds `port` (0 = kernel-chosen) exclusively and releases it again:
+/// returns the port, or the bind error if any socket holds it.
+[[nodiscard]] Result<std::uint16_t> ProbeExclusivePort(std::uint16_t port);
 
 }  // namespace md

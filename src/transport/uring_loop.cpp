@@ -942,7 +942,15 @@ int UringLoop::NextTimeoutMillis() const {
 }
 
 Result<ListenerPtr> UringLoop::Listen(std::uint16_t port) {
-  auto sock = net::CreateListenSocket(port);
+  return ListenOn(port, /*reusePort=*/false);
+}
+
+Result<ListenerPtr> UringLoop::ListenShared(std::uint16_t port) {
+  return ListenOn(port, /*reusePort=*/true);
+}
+
+Result<ListenerPtr> UringLoop::ListenOn(std::uint16_t port, bool reusePort) {
+  auto sock = net::CreateListenSocket(port, reusePort);
   if (!sock.ok()) return sock.status();
   auto listener = std::make_unique<detail::UringListener>(*this, sock->fd,
                                                           sock->port, nextId_);

@@ -155,6 +155,7 @@ class UringLoop final : public NetLoop {
   void CancelTimer(std::uint64_t id) override;
   [[nodiscard]] TimePoint Now() const override;
   Result<ListenerPtr> Listen(std::uint16_t port) override;
+  Result<ListenerPtr> ListenShared(std::uint16_t port) override;
   void Connect(const std::string& host, std::uint16_t port,
                ConnectCallback cb) override;
 
@@ -174,6 +175,8 @@ class UringLoop final : public NetLoop {
   static constexpr std::uint64_t Encode(OpKind kind, std::uint64_t id) {
     return (static_cast<std::uint64_t>(kind) << 56) | id;
   }
+
+  Result<ListenerPtr> ListenOn(std::uint16_t port, bool reusePort);
 
   struct PendingConnect {
     int fd;

@@ -371,4 +371,13 @@ void Monitor::Report(ViolationKind kind, std::string detail) {
   reports_.push_back({kind, std::move(detail)});
 }
 
+std::unique_ptr<Monitor> MakeHostMonitor(bool enabled,
+                                         obs::MetricsRegistry& registry,
+                                         MonitorConfig cfg,
+                                         const std::string& serverId) {
+  if (!enabled) return nullptr;
+  if (cfg.scope.empty()) cfg.scope = serverId;
+  return std::make_unique<Monitor>(registry, std::move(cfg));
+}
+
 }  // namespace md::verify

@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <list>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -200,5 +201,11 @@ class Monitor {
   obs::Gauge& trackedBytes_;
   obs::Counter* stageEvents_[obs::kStageCount] = {};
 };
+
+/// The monitor a server embeds when `enabled` (nullptr otherwise). An empty
+/// `cfg.scope` defaults to `serverId`.
+[[nodiscard]] std::unique_ptr<Monitor> MakeHostMonitor(
+    bool enabled, obs::MetricsRegistry& registry, MonitorConfig cfg,
+    const std::string& serverId);
 
 }  // namespace md::verify

@@ -4,6 +4,7 @@
 #include <charconv>
 
 #include "common/bytes.hpp"
+#include "common/strutil.hpp"
 
 namespace md::wal {
 namespace {
@@ -73,7 +74,7 @@ std::uint32_t Crc32(BytesView data) noexcept {
 }
 
 std::string SegmentFileName(std::uint32_t group, std::uint64_t index) {
-  return "g" + std::to_string(group) + "-" + std::to_string(index) + ".wal";
+  return Format("g%u-%llu.wal", group, static_cast<unsigned long long>(index));
 }
 
 std::optional<SegmentName> ParseSegmentFileName(const std::string& name) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/strutil.hpp"
 #include "transport/inproc.hpp"
 
 namespace md::client {
@@ -185,7 +186,7 @@ TEST_F(ClientTest, WeightedSelectionPrefersHeavyServer) {
   for (int i = 0; i < 200; ++i) {
     ClientConfig cfg;
     cfg.servers = {{"srv", 1000, 1.0}, {"srv", 2000, 9.0}};
-    cfg.clientId = "w" + std::to_string(i);
+    cfg.clientId = Format("w%d", i);
     cfg.seed = static_cast<std::uint64_t>(i) + 1;
     cfg.autoReconnect = false;
     Client client(loop, cfg);

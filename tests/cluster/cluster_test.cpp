@@ -368,5 +368,63 @@ TEST_P(ClusterFaultProperty, AckedMessagesSurviveOneFault) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ClusterFaultProperty,
                          ::testing::Values(101, 102, 103, 104, 105, 106));
 
+TEST(SimClusterEgressTest, DropNewestShedsDeliveriesOverSoftAndNeverEvicts) {
+  sim::Scheduler sched;
+  SimCluster::Options opts;
+  opts.clientBackpressure = {/*softWatermark=*/4 * 1024,
+                             /*hardWatermark=*/16 * 1024,
+                             /*lowWatermark=*/1024,
+                             core::OverflowPolicy::kDropNewest,
+                             /*evictGrace=*/250 * kMillisecond};
+  SimCluster cluster(sched, opts);
+  cluster.StartAll();
+  sched.RunFor(2 * kSecond);
+
+  auto clientCfg = [&](const std::string& id) {
+    client::ClientConfig cfg;
+    cfg.servers = {{"server", cluster.ClientPort(0), 1.0}};
+    cfg.clientId = id;
+    cfg.seed = Fnv1a64(id);
+    return cfg;
+  };
+  client::Client sub(cluster.clientLoop(), clientCfg("drop-sub"));
+  client::Client pub(cluster.clientLoop(), clientCfg("drop-pub"));
+  std::vector<std::uint8_t> payloads;
+  sub.Subscribe("drop", [&](const Message& m) { payloads.push_back(m.payload.at(0)); });
+  sub.Start();
+  pub.Start();
+  sched.RunFor(kSecond);
+
+  // A stalled subscriber: 40 x 1 KiB publications against a 4 KiB soft mark.
+  sub.PauseReads(true);
+  int acked = 0;
+  for (int i = 0; i < 40; ++i) {
+    Bytes payload(1024, static_cast<std::uint8_t>(i));
+    pub.Publish("drop", std::move(payload), [&](Status s) {
+      if (s.ok()) ++acked;
+    });
+  }
+  sched.RunFor(2 * kSecond);
+  ASSERT_EQ(acked, 40);
+  const auto& scm = cluster.slowConsumerMetrics();
+  EXPECT_GT(scm.dropped.Value(), 0u);
+  EXPECT_EQ(scm.disconnects.Value(), 0u);
+  EXPECT_LE(cluster.MaxClientPending(0), opts.clientBackpressure.hardWatermark);
+
+  // Resumed, it gets what was queued before the shed — in order, on the same
+  // connection — and, once drained below the low mark, new deliveries again.
+  sub.PauseReads(false);
+  sched.RunFor(kSecond);
+  EXPECT_EQ(scm.sessionsOverSoft.Value(), 0);
+  ASSERT_FALSE(payloads.empty());
+  EXPECT_LT(payloads.size(), 40u);
+  for (std::size_t i = 0; i < payloads.size(); ++i) EXPECT_EQ(payloads[i], i);
+  Bytes last{99};
+  pub.Publish("drop", std::move(last), [](Status) {});
+  sched.RunFor(kSecond);
+  EXPECT_EQ(payloads.back(), 99);
+  EXPECT_EQ(sub.stats().reconnects, 0u);
+}
+
 }  // namespace
 }  // namespace md::cluster

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <thread>
 
 #include "client/client.hpp"
@@ -39,12 +40,18 @@ class RawClient {
   }
 
   /// Connects and sends CONNECT; true once the host answers with CONNACK.
-  bool Connect(std::uint16_t port, const std::string& clientId) {
+  /// A non-zero `rcvbuf` shrinks the kernel receive buffer (set before the
+  /// connect, so the window stays small) for a client that stops reading.
+  bool Connect(std::uint16_t port, const std::string& clientId, int rcvbuf = 0) {
     if (fd_ >= 0) ::close(fd_);
     in_ = ByteQueue();
+    eof_ = false;
     fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     timeval tv{5, 0};
     ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    if (rcvbuf > 0) {
+      ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+    }
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(port);
@@ -62,6 +69,24 @@ class RawClient {
     return frame && std::holds_alternative<ConnAckFrame>(*frame);
   }
 
+  /// Sends SUBSCRIBE; true once the host answers with an ok SUBACK.
+  bool Subscribe(const std::string& topic) {
+    Bytes wire;
+    SubscribeFrame sub;
+    sub.topic = topic;
+    EncodeFramed(Frame(sub), wire);
+    if (::send(fd_, wire.data(), wire.size(), MSG_NOSIGNAL) !=
+        static_cast<ssize_t>(wire.size())) {
+      return false;
+    }
+    const auto frame = Next();
+    const auto* ack = frame ? std::get_if<SubAckFrame>(&*frame) : nullptr;
+    return ack != nullptr && ack->ok;
+  }
+
+  /// Whether the last Next() ended at the host's orderly close.
+  [[nodiscard]] bool AtEof() const { return eof_; }
+
   /// The next frame, or nullopt on EOF, error or a 5 s silence.
   std::optional<Frame> Next() {
     while (true) {
@@ -70,7 +95,10 @@ class RawClient {
       if (r.frame) return std::move(r.frame);
       std::uint8_t buf[4096];
       const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-      if (n <= 0) return std::nullopt;
+      if (n <= 0) {
+        eof_ = n == 0;
+        return std::nullopt;
+      }
       in_.Append(BytesView(buf, static_cast<std::size_t>(n)));
     }
   }
@@ -78,11 +106,13 @@ class RawClient {
  private:
   int fd_ = -1;
   ByteQueue in_;
+  bool eof_ = false;
 };
 
 class TcpClusterTest : public ::testing::Test {
  protected:
-  void StartCluster(std::size_t n = 3) {
+  void StartCluster(std::size_t n = 3,
+                    const core::BackpressureConfig& clientBackpressure = {}) {
     // Two phases: every host binds kernel-chosen ports first, then each is
     // given the others' bound addresses and started. No fixed port base, so
     // concurrent test processes can never share a listener.
@@ -92,6 +122,7 @@ class TcpClusterTest : public ::testing::Test {
       cfgs[i].nodeId = static_cast<coord::NodeId>(i + 1);
       cfgs[i].seed = 1000 + i;
       cfgs[i].cluster.metrics = &registry;
+      cfgs[i].clientBackpressure = clientBackpressure;
       hosts.push_back(std::make_unique<TcpClusterHost>(cfgs[i]));
       ASSERT_TRUE(hosts[i]->Bind().ok());
     }
@@ -307,6 +338,155 @@ TEST_F(TcpClusterTest, EachHostExportsItsTransportMetrics) {
     ASSERT_NE(send, nullptr) << server;
     EXPECT_EQ(send->value, 0) << server;
     EXPECT_NE(snap.Find("md_transport_send_queue_bytes", server), nullptr) << server;
+  }
+}
+
+TEST_F(TcpClusterTest, StalledSubscriberEvictedHealthySubscriberKeepsEverything) {
+  // Small marks, so the stalled subscriber crosses them after a few dozen
+  // messages; the healthy one never holds more than one paced batch.
+  core::BackpressureConfig bp;
+  bp.softWatermark = 64 * 1024;
+  bp.hardWatermark = 256 * 1024;
+  bp.lowWatermark = 16 * 1024;
+  bp.evictGrace = 100 * kMillisecond;
+  StartCluster(3, bp);
+  const std::string topic = "tcp/slow";
+
+  // The stalled subscriber: a raw socket with a small receive window that
+  // subscribes and then stops reading.
+  RawClient stalled;
+  WaitFor([&] {
+    return stalled.Connect(hosts[0]->ClientPort(), "raw-stalled", 4096);
+  });
+  ASSERT_TRUE(stalled.Subscribe(topic));
+
+  EpollLoop clientLoop;
+  std::thread clientThread([&] { clientLoop.Run(); });
+  auto subCfg = ClientCfg("tcp-healthy");
+  subCfg.servers = {{"127.0.0.1", hosts[0]->ClientPort(), 1.0}};
+  auto pubCfg = ClientCfg("tcp-slow-pub");
+  pubCfg.servers = {{"127.0.0.1", hosts[1]->ClientPort(), 1.0}};
+  client::Client healthy(clientLoop, subCfg);
+  client::Client pub(clientLoop, pubCfg);
+  std::vector<std::uint32_t> received;
+  std::mutex receivedMutex;
+  std::atomic<bool> subscribed{false};
+  clientLoop.Post([&] {
+    healthy.Subscribe(
+        topic,
+        [&](const Message& m) {
+          ByteReader r{BytesView(m.payload)};
+          std::uint32_t index = 0;
+          ASSERT_TRUE(r.ReadU32(index).ok());
+          std::lock_guard lock(receivedMutex);
+          received.push_back(index);
+        },
+        [&] { subscribed.store(true); });
+    healthy.Start();
+    pub.Start();
+  });
+  WaitFor([&] { return subscribed.load() && pub.IsConnected(); });
+
+  // Each batch is acked and delivered to the healthy subscriber before the
+  // next leaves, so it never holds more than 32 KiB (half the soft mark).
+  // The stalled one keeps receiving until it is evicted.
+  constexpr std::uint32_t kBatch = 4;
+  constexpr std::uint32_t kMaxMessages = 2048;  // 16 MiB
+  std::uint32_t published = 0;
+  std::atomic<std::uint32_t> acked{0};
+  const auto publish = [&](std::uint32_t n) {
+    clientLoop.Post([&, first = published, n] {
+      for (std::uint32_t i = first; i < first + n; ++i) {
+        Bytes payload;
+        ByteWriter w(payload);
+        w.WriteU32(i);
+        payload.resize(8 * 1024);
+        pub.Publish(topic, std::move(payload), [&](Status s) {
+          if (s.ok()) acked.fetch_add(1);
+        });
+      }
+    });
+    published += n;
+    WaitFor([&] {
+      std::lock_guard lock(receivedMutex);
+      return acked.load() == published && received.size() == published;
+    });
+  };
+  const auto disconnects = [&] {
+    return registry.Snapshot().Total("md_slow_consumer_disconnects_total");
+  };
+  // The first publication elects the topic's coordinator; later ones all
+  // forward to it, so the stream keeps their publish order.
+  publish(1);
+  while (disconnects() < 1.0 && published < kMaxMessages) publish(kBatch);
+  ASSERT_EQ(disconnects(), 1.0);
+  publish(kBatch);  // the healthy subscriber keeps receiving after it
+
+  // The stalled subscriber reads its backlog (a gap-free prefix), then the
+  // eviction notice, then EOF.
+  std::uint32_t next = 0;
+  bool sawDisconnect = false;
+  while (const auto frame = stalled.Next()) {
+    ASSERT_FALSE(sawDisconnect) << "frame after the eviction notice";
+    if (const auto* deliver = std::get_if<DeliverFrame>(&*frame)) {
+      ByteReader r{BytesView(deliver->msg.payload)};
+      std::uint32_t index = 0;
+      ASSERT_TRUE(r.ReadU32(index).ok());
+      EXPECT_EQ(index, next++);
+    } else if (std::holds_alternative<DisconnectFrame>(*frame)) {
+      sawDisconnect = true;
+    }
+  }
+  EXPECT_TRUE(sawDisconnect) << "closed without the eviction notice";
+  EXPECT_TRUE(stalled.AtEof());
+  EXPECT_LT(next, published);
+
+  {
+    std::lock_guard lock(receivedMutex);
+    ASSERT_EQ(received.size(), published);
+    for (std::uint32_t i = 0; i < published; ++i) EXPECT_EQ(received[i], i);
+  }
+  EXPECT_EQ(disconnects(), 1.0);
+  EXPECT_EQ(healthy.stats().reconnects, 0u);
+
+  clientLoop.Post([&] {
+    healthy.Stop();
+    pub.Stop();
+  });
+  std::this_thread::sleep_for(20ms);
+  clientLoop.Stop();
+  clientThread.join();
+}
+
+TEST_F(TcpClusterTest, StartRefusesTheConflatePolicy) {
+  // Conflation needs core::Server's Conflator, which a cluster host lacks.
+  TcpHostConfig cfg;
+  cfg.serverId = "tcp-conflate";
+  cfg.cluster.metrics = &registry;
+  cfg.clientBackpressure.policy = core::OverflowPolicy::kConflate;
+  TcpClusterHost host(cfg);
+  EXPECT_EQ(host.Start().code(), ErrorCode::kInvalidArgument);
+}
+
+TEST_F(TcpClusterTest, SecondHostOnABoundPortFailsToBind) {
+  TcpHostConfig first;
+  first.serverId = "tcp-first";
+  first.cluster.metrics = &registry;
+  TcpClusterHost a(first);
+  ASSERT_TRUE(a.Bind().ok());
+
+  // Each listener is exclusive: reusing any of the first host's ports is a
+  // bind error, not a share of its traffic.
+  for (int which = 0; which < 3; ++which) {
+    TcpHostConfig second;
+    second.serverId = "tcp-second";
+    second.nodeId = 2;
+    second.cluster.metrics = &registry;
+    if (which == 0) second.clientPort = a.ClientPort();
+    if (which == 1) second.peerPort = a.PeerPort();
+    if (which == 2) second.coordPort = a.CoordPort();
+    TcpClusterHost b(second);
+    EXPECT_FALSE(b.Bind().ok()) << "listener " << which;
   }
 }
 

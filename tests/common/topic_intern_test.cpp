@@ -7,6 +7,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/strutil.hpp"
+
 namespace md {
 namespace {
 
@@ -43,11 +45,11 @@ TEST(TopicInternTest, SpansChunkBoundary) {
   TopicTable table;
   const std::size_t n = TopicTable::kChunkTopics + 100;
   for (std::size_t i = 0; i < n; ++i) {
-    table.Intern("t" + std::to_string(i));
+    table.Intern(Format("t%zu", i));
   }
   EXPECT_EQ(table.Size(), n);
   EXPECT_EQ(table.NameOf(static_cast<TopicId>(TopicTable::kChunkTopics)),
-            "t" + std::to_string(TopicTable::kChunkTopics));
+            Format("t%zu", TopicTable::kChunkTopics));
   EXPECT_EQ(table.MemoryBytes() > 0, true);
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "common/strutil.hpp"
 
 namespace md::coord {
 namespace {
@@ -106,7 +107,7 @@ TEST(CoordCodecTest, StreamFramingChunkedReassembly) {
     msg.leader = 1;
     if (i % 2 == 0) {
       msg.entries.push_back(
-          {static_cast<Term>(i), PutCmd{"k" + std::to_string(i), "v"}, 0, 0});
+          {static_cast<Term>(i), PutCmd{Format("k%d", i), "v"}, 0, 0});
     }
     EncodeCoordFramed(CoordMsg(msg), stream);
   }

@@ -434,5 +434,22 @@ TEST(ServerStatsTest, CountsConnectionsAndTraffic) {
   server.Stop();
 }
 
+TEST(ServerStartTest, PortAnotherServerHoldsFailsToBind) {
+  ServerConfig cfg;
+  cfg.ioThreads = 2;  // a SO_REUSEPORT listener group
+  cfg.workers = 1;
+  Server first(cfg);
+  ASSERT_TRUE(first.Start().ok());
+
+  // Without the exclusive probe the second group would silently join the
+  // first one's port and the kernel would split connections between them.
+  ServerConfig clash = cfg;
+  clash.serverId = "server-2";
+  clash.port = first.Port();
+  Server second(clash);
+  EXPECT_FALSE(second.Start().ok());
+  first.Stop();
+}
+
 }  // namespace
 }  // namespace md::core

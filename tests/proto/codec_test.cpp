@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "common/strutil.hpp"
 
 namespace md {
 namespace {
@@ -229,14 +230,15 @@ TEST(StreamFramingTest, RandomFrameSequenceChunkedArbitrarily) {
       case 0: f = PingFrame{rng.Next()}; break;
       case 1: {
         PublishFrame p;
-        p.topic = "t" + std::to_string(rng.NextBelow(100));
+        p.topic = Format("t%llu",
+                         static_cast<unsigned long long>(rng.NextBelow(100)));
         p.payload.resize(rng.NextBelow(300));
         for (auto& b : p.payload) b = static_cast<std::uint8_t>(rng.Next());
         p.pubId = {rng.Next(), rng.Next()};
         f = p;
         break;
       }
-      case 2: f = DeliverFrame{MakeMessage("x" + std::to_string(i))}; break;
+      case 2: f = DeliverFrame{MakeMessage(Format("x%d", i))}; break;
       default: f = GossipAnnounceFrame{static_cast<std::uint32_t>(rng.NextBelow(100)),
                                        static_cast<std::uint32_t>(rng.NextBelow(10)),
                                        "s"};

@@ -273,5 +273,31 @@ TEST(EpollLoopTest, ManyConcurrentConnections) {
   LoopThread::WaitFor([&] { return echoed.load() == kConns; });
 }
 
+TEST(EpollLoopTest, ListenIsExclusiveAndListenSharedJoinsOnlyItsOwnGroup) {
+  LoopThread lt;
+  lt.RunOnLoop([&] {
+    auto exclusive = lt.loop().Listen(0);
+    ASSERT_TRUE(exclusive.ok());
+    const std::uint16_t port = (*exclusive)->Port();
+    // A port another listener holds fails to bind, however it is asked for.
+    EXPECT_FALSE(lt.loop().Listen(port).ok());
+    EXPECT_FALSE(lt.loop().ListenShared(port).ok());
+    EXPECT_FALSE(ProbeExclusivePort(port).ok());
+    exclusive->reset();
+    const auto freed = ProbeExclusivePort(port);
+    ASSERT_TRUE(freed.ok()) << freed.status().ToString();
+    EXPECT_EQ(*freed, port);
+
+    // A SO_REUSEPORT group takes more members, never an exclusive listener,
+    // and the probe sees its port as held.
+    auto first = lt.loop().ListenShared(0);
+    ASSERT_TRUE(first.ok());
+    const std::uint16_t shared = (*first)->Port();
+    EXPECT_TRUE(lt.loop().ListenShared(shared).ok());
+    EXPECT_FALSE(lt.loop().Listen(shared).ok());
+    EXPECT_FALSE(ProbeExclusivePort(shared).ok());
+  });
+}
+
 }  // namespace
 }  // namespace md

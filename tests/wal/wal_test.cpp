@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "common/bytes.hpp"
+#include "common/strutil.hpp"
 #include "core/cache.hpp"
 #include "wal/format.hpp"
 #include "wal/log.hpp"
@@ -416,7 +417,7 @@ TEST(WalLogTest, AppendRecoverRoundTripAcrossGroups) {
     Log log(env, TestConfig());
     for (std::uint64_t seq = 1; seq <= 24; ++seq) {
       const auto group = static_cast<std::uint32_t>(seq % 3);
-      Message m = MakeMsg("g" + std::to_string(group) + "/topic", 1, seq);
+      Message m = MakeMsg(Format("g%u/topic", group), 1, seq);
       ASSERT_TRUE(log.Append(group, m, 0).ok());
       written.push_back(std::move(m));
     }
